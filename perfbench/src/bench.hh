@@ -37,6 +37,20 @@ nowNs()
         .count();
 }
 
+/** CPU time of the whole process and of the calling thread. Both count
+ *  only time a thread ran: time it waited for a core, in this process's
+ *  run queue or (on a paravirtual guest) while the hypervisor ran
+ *  another guest, is not included. */
+int64_t processCpuNs();
+int64_t threadCpuNs();
+
+/** Thread CPU time of one pass of the fixed calibration kernel, and
+ *  its median on the reference host when that host is quiet. A CPU
+ *  time t measured next to a sample c is reported as t * kCalRefUs / c:
+ *  the time the work would have taken on the quiet reference host. */
+double calibrationSampleUs();
+inline constexpr double kCalRefUs = 425.0;
+
 /** Sample percentile (q in [0, 1]), linear between order statistics;
  *  0 for an empty sample. */
 double percentile(std::vector<double> v, double q);
@@ -91,13 +105,11 @@ struct Schedule
     Workload workload = Workload::LiveQa;
     serve::EngineConfig engine;
     std::vector<Stream> streams;
-    /** Open-loop sends in due order (empty for the closed loop). */
+    /** Open-loop sends in due order (empty for the closed loop, which
+     *  walks its one stream's script). */
     std::vector<Send> sends;
     /** Streams whose sessions are created during set-up. */
     uint32_t precreated = 0;
-    /** long-video: frames fed, and a QA turn after every qaEvery. */
-    uint32_t frames = 0;
-    uint32_t qaEvery = 0;
     /** Streams the untraced output check and fidelity replay. */
     std::vector<uint32_t> sample;
     /** QA turns of a sampled script the check / fidelity replay
@@ -116,7 +128,7 @@ SessionScript prefixScript(const SessionScript &script, uint32_t turns);
 // Load generator
 // ------------------------------------------------------------------
 
-/** Everything one timed window measured. */
+/** Everything one timed window (or the service probe) measured. */
 struct WindowResult
 {
     std::vector<double> frameMs;       //!< Frame due -> prefill executed.
@@ -125,6 +137,17 @@ struct WindowResult
     std::vector<double> ttftMs;        //!< Later turns only.
     std::vector<double> tpotMs;        //!< Later turns only.
     std::vector<double> createMs;      //!< tryCreateSession calls.
+    /** Generator-thread CPU of each tryCreateSession call. */
+    std::vector<double> createCpuMs;
+    /** Closed loop only: process CPU of each awaited frame, and of each
+     *  turn's first token and later tokens (every turn). */
+    std::vector<double> frameCpuMs, ttftCpuMs, tpotCpuMs;
+    /** Service probe only: the calibration sample taken right after
+     *  each create, frame and turn part above (same indices). */
+    std::vector<double> createCalUs, frameCalUs, ttftCalUs, tpotCalUs;
+    /** Open-loop window only: calibration samples taken while nothing
+     *  was outstanding. */
+    std::vector<double> calUs;
     std::vector<double> verbUs;        //!< Inside the enqueue verbs.
     std::vector<double> lagMs;         //!< Send time minus due time.
     std::vector<double> pollUs;        //!< Interval between poll sweeps.
@@ -136,7 +159,10 @@ struct WindowResult
     /** Engine-generated tokens of the captured streams. */
     std::vector<std::optional<std::vector<uint32_t>>> tokens;
     double wallS = 0.0;
+    /** Process CPU over the window, and the part that served: the
+     *  process minus the generator thread outside the engine's verbs. */
     double cpuS = 0.0;
+    double serveCpuS = 0.0;
     serve::Stats stats;
 };
 
@@ -161,6 +187,13 @@ void warmUp(serve::Engine &engine);
 /** Run the timed window. @p capture marks the streams whose
  *  generated tokens are read back (outside the timed latencies). */
 WindowResult runWindow(Prepared &p, const std::vector<bool> &capture);
+
+/** Closed-loop service probe on a fresh engine, for @p seconds: the
+ *  streams' scripts (cut after checkTurns answers), sample streams
+ *  first, then the others, cycling, run one session at a time with
+ *  every frame and turn awaited, so each verb's process CPU is that
+ *  verb's service cost. Captures the sample streams' tokens. */
+WindowResult runServiceProbe(const Schedule &sch, double seconds);
 
 // ------------------------------------------------------------------
 // Traced run: spans and forwarding probes

@@ -9,7 +9,7 @@
  * each send, which makes its TTFT and TPOT exact.
  */
 
-#include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -26,14 +26,17 @@ namespace
 {
 
 constexpr int64_t kPollIntervalNs = 250'000;
+/** In-window calibration: at most one sample per kCalEveryNs, and only
+ *  when the next send is at least kCalGapNs away. */
+constexpr int64_t kCalEveryNs = 50'000'000;
+constexpr int64_t kCalGapNs = 2'000'000;
 
-double
-cpuSeconds()
+int64_t
+cpuClockNs(clockid_t clock)
 {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_utime.tv_sec + ru.ru_stime.tv_sec +
-           (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+    timespec ts{};
+    clock_gettime(clock, &ts);
+    return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
 double
@@ -67,6 +70,25 @@ struct Live
     bool closeWhenDone = false;
 };
 
+/** tryCreateSession, timed in wall and generator-thread CPU. */
+serve::Admission
+timedCreate(serve::Engine &engine, const serve::SessionOptions &options,
+            std::vector<double> &wall_ms, std::vector<double> &cpu_ms)
+{
+    const int64_t t0 = nowNs();
+    const int64_t c0 = threadCpuNs();
+    serve::Admission a;
+    try {
+        a = engine.tryCreateSession(options);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "perfbench: create: %s\n", e.what());
+        a.status = serve::Admission::Status::RejectedSessionLimit;
+    }
+    cpu_ms.push_back(static_cast<double>(threadCpuNs() - c0) / 1e6);
+    wall_ms.push_back(msSince(t0, nowNs()));
+    return a;
+}
+
 /** Shared verb accounting of both loops. */
 class VerbLog
 {
@@ -82,26 +104,46 @@ class VerbLog
         ++out.attempted;
         ++out.verbs[stream];
         const int64_t t0 = nowNs();
+        const int64_t c0 = threadCpuNs();
+        bool accepted = false;
         try {
-            const serve::EnqueueResult r = fn();
+            accepted = fn().accepted();
             out.verbUs.push_back(static_cast<double>(nowNs() - t0) / 1e3);
-            if (r.accepted())
-                return true;
-            std::fprintf(stderr, "perfbench: stream %u: enqueue rejected\n",
-                         stream);
+            if (!accepted)
+                std::fprintf(stderr,
+                             "perfbench: stream %u: enqueue rejected\n",
+                             stream);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "perfbench: stream %u: %s\n", stream,
                          e.what());
         }
-        ++out.failed;
-        return false;
+        verbCpuNs += threadCpuNs() - c0;
+        out.failed += !accepted;
+        return accepted;
     }
+
+    /** tryCreateSession, counted as a verb. */
+    serve::Admission
+    create(uint32_t stream, serve::Engine &engine,
+           const serve::SessionOptions &options)
+    {
+        ++out.attempted;
+        ++out.verbs[stream];
+        const serve::Admission a =
+            timedCreate(engine, options, out.createMs, out.createCpuMs);
+        verbCpuNs += static_cast<int64_t>(out.createCpuMs.back() * 1e6);
+        out.failed += !a.admitted();
+        return a;
+    }
+
+    /** Generator-thread CPU spent inside the engine's verbs. */
+    int64_t verbCpuNs = 0;
 
   protected:
     WindowResult &out;
 };
 
-class OpenLoop : VerbLog
+class OpenLoop : public VerbLog
 {
   public:
     OpenLoop(Prepared &prepared, const std::vector<bool> &capture,
@@ -120,6 +162,7 @@ class OpenLoop : VerbLog
         const int64_t start = nowNs();
         size_t next = 0;
         int64_t last_sweep = 0;
+        int64_t last_cal = 0;
         while (next < sch.sends.size() || !active.empty()) {
             int64_t now = nowNs();
             while (next < sch.sends.size() &&
@@ -146,6 +189,14 @@ class OpenLoop : VerbLog
                 wake = std::min(wake, now + kPollIntervalNs);
             if (wake == INT64_MAX)
                 break;
+            // Nothing outstanding and the next send far enough away:
+            // sample the host's speed without delaying a send or a
+            // completion.
+            if (active.empty() && wake - now >= kCalGapNs &&
+                now - last_cal >= kCalEveryNs) {
+                out.calUs.push_back(calibrationSampleUs());
+                last_cal = nowNs();
+            }
             std::this_thread::sleep_until(
                 Clock::time_point(std::chrono::nanoseconds(wake)));
         }
@@ -196,21 +247,10 @@ class OpenLoop : VerbLog
             ask(s, due);
             break;
           case SendKind::Arrive: {
-            ++out.attempted;
-            ++out.verbs[s];
-            const int64_t t0 = nowNs();
-            serve::Admission a;
-            try {
-                a = engine.tryCreateSession(sch.streams[s].options);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "perfbench: create: %s\n", e.what());
-                a.status = serve::Admission::Status::RejectedSessionLimit;
-            }
-            out.createMs.push_back(msSince(t0, nowNs()));
-            if (!a.admitted()) {
-                ++out.failed;
+            const serve::Admission a =
+                create(s, engine, sch.streams[s].options);
+            if (!a.admitted())
                 break;
-            }
             live[s].id = a.id;
             feed(s, sch.streams[s].clipFrames, due);
             ask(s, due);
@@ -290,59 +330,115 @@ class OpenLoop : VerbLog
     std::vector<uint32_t> active;
 };
 
-class ClosedLoop : VerbLog
+/** CPU and wall stamps around one awaited verb. */
+struct Stamp
+{
+    int64_t wallNs = nowNs();
+    int64_t cpuNs = processCpuNs();
+};
+
+/** One session driven through a script, every verb awaited: frames
+ *  one at a time, and each turn as {Question, Generate 1} then the rest
+ *  of its tokens, so TTFT and TPOT are exact. With the rest of the
+ *  engine idle, the process CPU between send and completion is the
+ *  verb's service cost. */
+class ClosedLoop : public VerbLog
 {
   public:
-    ClosedLoop(Prepared &prepared, WindowResult &result)
-        : VerbLog(result), engine(*prepared.engine),
-          sch(prepared.schedule), id(prepared.ids[0])
+    /** @p calibrate: take a calibration sample after every awaited
+     *  send (the service probe; not the long-video window). */
+    ClosedLoop(serve::Engine &engine, serve::SessionId id, uint32_t stream,
+               WindowResult &result, bool calibrate)
+        : VerbLog(result), engine(engine), id(id), stream(stream),
+          calibrate(calibrate)
     {
     }
 
     void
-    run()
+    run(const SessionScript &script)
     {
         using Type = SessionEvent::Type;
-        for (uint32_t f = 1; f <= sch.frames; ++f) {
-            const int64_t t0 = nowNs();
-            if (enqueue(0, [&] { return engine.tryFeedFrame(id, 1); })) {
-                engine.wait(id);
-                const double ms = msSince(t0, nowNs());
-                out.frameMs.push_back(ms);
-                out.frameLatencySumS += ms / 1e3;
-            }
-            if (f % sch.qaEvery != 0)
-                continue;
-            const int64_t q0 = nowNs();
-            if (!enqueue(0, [&] {
-                    return engine.tryEnqueue(
-                        id, {{Type::Question, kQuestionTokens},
-                             {Type::Generate, 1}});
-                }))
-                continue;
-            engine.wait(id);
-            const int64_t q1 = nowNs();
-            if (!enqueue(0, [&] {
-                    return engine.tryEnqueue(
-                        id, {{Type::Generate, kAnswerTokens - 1}});
-                }))
-                continue;
-            engine.wait(id);
-            const int64_t q2 = nowNs();
-            if (f == sch.qaEvery) {
-                out.firstAnswerMs.push_back(msSince(q0, q2));
+        const std::vector<SessionEvent> &ev = script.events;
+        uint32_t turns = 0;
+        for (size_t i = 0; i < ev.size(); ++i) {
+            if (ev[i].type == Type::Frame) {
+                const Stamp f0;
+                Stamp f1;
+                if (!awaited([&] { return engine.tryFeedFrame(id, 1); }, f1))
+                    continue;
+                out.frameMs.push_back(msSince(f0.wallNs, f1.wallNs));
+                out.frameCpuMs.push_back(msSince(f0.cpuNs, f1.cpuNs));
+                if (calibrate)
+                    out.frameCalUs.push_back(lastCal);
+                out.frameLatencySumS += out.frameMs.back() / 1e3;
                 continue;
             }
-            out.answerMs.push_back(msSince(q0, q2));
-            out.ttftMs.push_back(msSince(q0, q1));
-            out.tpotMs.push_back(msSince(q1, q2) / (kAnswerTokens - 1));
+            const bool turn = ev[i].type == Type::Question &&
+                              i + 1 < ev.size() &&
+                              ev[i + 1].type == Type::Generate &&
+                              ev[i + 1].tokens > 1;
+            Stamp q1, q2;
+            if (!turn) {
+                awaited([&] { return engine.tryEnqueue(id, {ev[i]}); }, q1);
+                continue;
+            }
+            const uint32_t rest = ev[++i].tokens - 1;
+            const Stamp q0;
+            if (!awaited(
+                    [&] {
+                        return engine.tryEnqueue(
+                            id, {{Type::Question, ev[i - 1].tokens},
+                                 {Type::Generate, 1}});
+                    },
+                    q1))
+                continue;
+            const double cal1 = lastCal;
+            if (!awaited(
+                    [&] {
+                        return engine.tryEnqueue(id,
+                                                 {{Type::Generate, rest}});
+                    },
+                    q2))
+                continue;
+            out.ttftCpuMs.push_back(msSince(q0.cpuNs, q1.cpuNs));
+            out.tpotCpuMs.push_back(msSince(q1.cpuNs, q2.cpuNs) / rest);
+            if (calibrate) {
+                out.ttftCalUs.push_back(cal1);
+                out.tpotCalUs.push_back(lastCal);
+            }
+            if (turns++ == 0) {
+                out.firstAnswerMs.push_back(msSince(q0.wallNs, q2.wallNs));
+                continue;
+            }
+            out.answerMs.push_back(msSince(q0.wallNs, q2.wallNs));
+            out.ttftMs.push_back(msSince(q0.wallNs, q1.wallNs));
+            out.tpotMs.push_back(msSince(q1.wallNs, q2.wallNs) / rest);
         }
     }
 
   private:
+    /** Send, wait, and stamp the completion in @p done; false when
+     *  the engine refused the send. */
+    template <class Fn>
+    bool
+    awaited(Fn &&send, Stamp &done)
+    {
+        if (!enqueue(stream, send))
+            return false;
+        engine.wait(id);
+        done = Stamp();
+        // The engine is idle now: the sample sees the host as the send
+        // just did, and it runs after the send's stamp.
+        if (calibrate)
+            lastCal = calibrationSampleUs();
+        return true;
+    }
+
     serve::Engine &engine;
-    const Schedule &sch;
     serve::SessionId id;
+    uint32_t stream;
+    bool calibrate;
+    double lastCal = 0.0;
 };
 
 } // namespace
@@ -360,10 +456,9 @@ prepare(Workload w, uint64_t seed, double seconds,
     p.engine = std::make_unique<serve::Engine>(p.schedule.engine);
     p.ids.assign(p.schedule.streams.size(), 0);
     for (uint32_t i = 0; i < p.schedule.precreated; ++i) {
-        const int64_t t0 = nowNs();
-        const serve::Admission a =
-            p.engine->tryCreateSession(p.schedule.streams[i].options);
-        p.createMs.push_back(msSince(t0, nowNs()));
+        std::vector<double> cpu_ms;
+        const serve::Admission a = timedCreate(
+            *p.engine, p.schedule.streams[i].options, p.createMs, cpu_ms);
         if (!a.admitted())
             throw std::runtime_error("set-up session rejected");
         p.ids[i] = a.id;
@@ -392,17 +487,28 @@ WindowResult
 runWindow(Prepared &p, const std::vector<bool> &capture)
 {
     WindowResult out;
-    const size_t n = p.schedule.streams.size();
+    const Schedule &sch = p.schedule;
+    const size_t n = sch.streams.size();
     out.verbs.assign(n, 0);
     out.tokens.assign(n, std::nullopt);
-    const double cpu0 = cpuSeconds();
+    const int64_t cpu0 = processCpuNs();
+    const int64_t gen0 = threadCpuNs();
     const int64_t t0 = nowNs();
-    if (p.schedule.workload == Workload::LongVideo)
-        ClosedLoop(p, out).run();
-    else
-        OpenLoop(p, capture, out).run();
+    int64_t verb_cpu_ns = 0;
+    if (sch.workload == Workload::LongVideo) {
+        ClosedLoop loop(*p.engine, p.ids[0], 0, out, false);
+        loop.run(sch.streams[0].script);
+        verb_cpu_ns = loop.verbCpuNs;
+    } else {
+        OpenLoop loop(p, capture, out);
+        loop.run();
+        verb_cpu_ns = loop.verbCpuNs;
+    }
     out.wallS = static_cast<double>(nowNs() - t0) / 1e9;
-    out.cpuS = cpuSeconds() - cpu0;
+    const int64_t cpu_ns = processCpuNs() - cpu0;
+    const int64_t harness_ns = threadCpuNs() - gen0 - verb_cpu_ns;
+    out.cpuS = static_cast<double>(cpu_ns) / 1e9;
+    out.serveCpuS = static_cast<double>(cpu_ns - harness_ns) / 1e9;
     out.stats = p.engine->stats();
     // Sessions still open after the window: read their outputs now,
     // outside every timed latency.
@@ -410,6 +516,49 @@ runWindow(Prepared &p, const std::vector<bool> &capture)
         if (capture[s] && !out.tokens[s] && p.ids[s] != 0)
             out.tokens[s] = p.engine->result(p.ids[s]).generated;
     return out;
+}
+
+WindowResult
+runServiceProbe(const Schedule &sch, double seconds)
+{
+    const size_t n = sch.streams.size();
+    WindowResult out;
+    out.verbs.assign(n, 0);
+    out.tokens.assign(n, std::nullopt);
+    std::vector<uint32_t> order = sch.sample;
+    for (uint32_t s = 0; s < n; ++s)
+        if (std::find(sch.sample.begin(), sch.sample.end(), s) ==
+            sch.sample.end())
+            order.push_back(s);
+
+    serve::Engine engine(sch.engine);
+    const int64_t end = nowNs() + static_cast<int64_t>(seconds * 1e9);
+    for (size_t k = 0; k < sch.sample.size() || nowNs() < end; ++k) {
+        const uint32_t s = order[k % order.size()];
+        const serve::Admission a =
+            VerbLog(out).create(s, engine, sch.streams[s].options);
+        if (!a.admitted())
+            continue;
+        out.createCalUs.push_back(calibrationSampleUs());
+        ClosedLoop(engine, a.id, s, out, true)
+            .run(prefixScript(sch.streams[s].script, sch.checkTurns));
+        if (k < sch.sample.size())
+            out.tokens[s] = engine.result(a.id).generated;
+        engine.closeSession(a.id);
+    }
+    return out;
+}
+
+int64_t
+processCpuNs()
+{
+    return cpuClockNs(CLOCK_PROCESS_CPUTIME_ID);
+}
+
+int64_t
+threadCpuNs()
+{
+    return cpuClockNs(CLOCK_THREAD_CPUTIME_ID);
 }
 
 } // namespace vrex::perfbench

@@ -5,9 +5,10 @@
  *   vrex_perfbench --workload live-qa|long-video|churn-resume
  *                  --seed N --seconds S --trace 0|1 [--out-dir DIR]
  *
- * --trace 0 runs one untimed set-up (three times, median reported), an
- * untimed warm-up, the timed window, then the output check and the
- * fidelity proxy on a seeded sample; it reports the end-to-end metrics.
+ * --trace 0 runs one untimed set-up (five times, median reported), an
+ * untimed warm-up, the timed window, then, on a seeded sample, the
+ * fidelity proxy, a closed-loop service probe on a fresh engine and the
+ * output check of both; it reports the end-to-end metrics.
  * --trace 1 runs the same untraced window, then a traced window (timed
  * ReSV forwarder, timed cold store) and a traced single-threaded replay
  * of every script; it reports the per-layer metrics, the tracing
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,7 +40,11 @@ namespace vrex::perfbench
 namespace
 {
 
-constexpr int kSetupReps = 3;
+constexpr int kSetupReps = 5;
+/** Calibration samples after each set-up rep, and just before and just
+ *  after the window. */
+constexpr int kSetupCalSamples = 20;
+constexpr int kWindowCalSamples = 100;
 constexpr double kMiB = 1024.0 * 1024.0;
 
 struct Args
@@ -94,21 +100,52 @@ failedVerbs(const WindowResult &w, uint32_t stream,
     return std::max<uint64_t>(1, w.verbs[stream]);
 }
 
-/** The end-to-end metrics of one window, in BENCHMARK.json order. */
+/** Median of the CPU times @p ms, each scaled by the calibration
+ *  sample taken next to it (calibrate.cc). */
+double
+scaledMedian(const std::vector<double> &ms, const std::vector<double> &cal)
+{
+    std::vector<double> v;
+    for (size_t i = 0; i < ms.size() && i < cal.size(); ++i)
+        v.push_back(ms[i] * ratio(kCalRefUs, cal[i]));
+    return percentile(v, 0.50);
+}
+
+/**
+ * The gated end-to-end metrics, in BENCHMARK.json order. Apart from
+ * memory and fidelity they are scaled to the quiet reference host
+ * (calibrate.cc): @p setup_s already is, and the probe's CPU times are
+ * scaled here. The wall-clock latencies are in wallLatencies().
+ */
 Metrics
-endToEnd(const WindowResult &w, double setup_s, double rss_mib,
-         double fidelity_pct, const std::vector<double> &create_ms)
+endToEnd(const WindowResult &probe, double setup_s, double rss_mib,
+         double fidelity_pct)
 {
     return {
         {"setup_s", setup_s, "s"},
         {"peak_rss_mib", rss_mib, "MiB"},
+        {"frame_cpu_ms", scaledMedian(probe.frameCpuMs, probe.frameCalUs),
+         "ms"},
+        {"ttft_cpu_ms", scaledMedian(probe.ttftCpuMs, probe.ttftCalUs), "ms"},
+        {"tpot_cpu_ms", scaledMedian(probe.tpotCpuMs, probe.tpotCalUs), "ms"},
+        {"create_cpu_ms",
+         scaledMedian(probe.createCpuMs, probe.createCalUs), "ms"},
+        {"fidelity_pct", fidelity_pct, "%"},
+    };
+}
+
+/** The wall-clock latencies of one window (not gated: on a shared host
+ *  they move with its speed; see README.md). */
+Metrics
+wallLatencies(const WindowResult &w, const std::vector<double> &create_ms)
+{
+    return {
         {"frame_ms_p50", percentile(w.frameMs, 0.50), "ms"},
         {"first_answer_ms_p50", percentile(w.firstAnswerMs, 0.50), "ms"},
         {"answer_ms_p50", percentile(w.answerMs, 0.50), "ms"},
         {"ttft_ms", percentile(w.ttftMs, 0.50), "ms"},
         {"tpot_ms", percentile(w.tpotMs, 0.50), "ms"},
         {"create_ms_p50", percentile(create_ms, 0.50), "ms"},
-        {"fidelity_pct", fidelity_pct, "%"},
     };
 }
 
@@ -129,11 +166,13 @@ harnessValid(const WindowResult &w)
 }
 
 bool
-samplesPresent(const WindowResult &w)
+samplesPresent(const WindowResult &w, const WindowResult *probe)
 {
-    const bool ok = !w.frameMs.empty() && !w.firstAnswerMs.empty() &&
-                    !w.answerMs.empty() && !w.ttftMs.empty() &&
-                    !w.tpotMs.empty();
+    bool ok = !w.frameMs.empty() && !w.firstAnswerMs.empty() &&
+              !w.answerMs.empty() && !w.ttftMs.empty() && !w.tpotMs.empty();
+    if (probe)
+        ok = ok && !probe->frameCpuMs.empty() && !probe->ttftCpuMs.empty() &&
+             !probe->tpotCpuMs.empty();
     if (!ok)
         std::fprintf(stderr, "perfbench: a latency sample is empty "
                              "(run too short for the workload)\n");
@@ -281,28 +320,71 @@ struct UntracedPass
 {
     WindowResult window;
     Metrics e2e;
+    Metrics wall;
+    /** Scaled serving CPU of the window per frame (not gated). */
+    double cpuMsPerFrame = 0.0;
 };
+
+/** Replay @p s's checked prefix through StreamingSession and compare it
+ *  with the engine's tokens in every one of @p runs. */
+void
+checkStream(const Schedule &sch,
+            std::initializer_list<const WindowResult *> runs, uint32_t s,
+            Outcome &out)
+{
+    const std::vector<uint32_t> replay = replayPlain(
+        sch.engine, prefixScript(sch.streams[s].script, sch.checkTurns));
+    for (const WindowResult *w : runs) {
+        const uint64_t bad = failedVerbs(*w, s, replay);
+        out.failed += bad;
+        out.correct = out.correct && bad == 0;
+    }
+}
 
 UntracedPass
 untracedPass(const Args &a, bool check, Outcome &out)
 {
     std::vector<double> setup_s, create_ms;
+    // Wall seconds of each phase: set-up reps, window, fidelity, probe,
+    // check (printed, so the run's length can be budgeted).
+    std::array<double, 5> phase_s{};
+    int64_t mark = nowNs();
+    auto lap = [&](size_t i) {
+        const int64_t now = nowNs();
+        phase_s[i] += (now - mark) / 1e9;
+        mark = now;
+    };
+    auto addCreates = [&](const std::vector<double> &wall) {
+        create_ms.insert(create_ms.end(), wall.begin(), wall.end());
+    };
+    auto calibrate = [](std::vector<double> &cal, int n) {
+        for (int i = 0; i < n; ++i)
+            cal.push_back(calibrationSampleUs());
+    };
+    std::vector<double> setup_cal;
     for (int r = 0; r < kSetupReps; ++r) {
         const int64_t t0 = nowNs();
         Prepared rep = prepare(a.workload, a.seed, a.seconds);
         warmUp(*rep.engine);
         setup_s.push_back((nowNs() - t0) / 1e9);
-        create_ms.insert(create_ms.end(), rep.createMs.begin(),
-                         rep.createMs.end());
+        addCreates(rep.createMs);
+        calibrate(setup_cal, kSetupCalSamples);
     }
+    lap(0);
 
     Prepared p = prepare(a.workload, a.seed, a.seconds);
     const Schedule &sch = p.schedule;
     UntracedPass u;
+    // Calibration around the window, with the engine idle; the open
+    // loop adds samples from its idle moments.
+    std::vector<double> window_cal;
+    calibrate(window_cal, kWindowCalSamples);
     u.window = runWindow(p, captureMask(sch, false));
+    calibrate(window_cal, kWindowCalSamples);
     WindowResult &w = u.window;
-    create_ms.insert(create_ms.end(), p.createMs.begin(), p.createMs.end());
-    create_ms.insert(create_ms.end(), w.createMs.begin(), w.createMs.end());
+    addCreates(p.createMs);
+    addCreates(w.createMs);
+    lap(1);
 
     double fidelity = 0.0;
     if (check) {
@@ -317,39 +399,71 @@ untracedPass(const Args &a, bool check, Outcome &out)
         fidelity = 100.0 * sum / jobs.size();
     }
     p.engine.reset();
+    lap(2);
 
     out.attempted += w.attempted;
     out.failed += w.failed;
+    WindowResult probe;
     if (check) {
-        for (uint32_t s : sch.sample) {
-            const std::vector<uint32_t> replay = replayPlain(
-                sch.engine, prefixScript(sch.streams[s].script, sch.checkTurns));
-            const uint64_t bad = failedVerbs(w, s, replay);
-            out.failed += bad;
-            out.correct = out.correct && bad == 0;
-        }
+        probe = runServiceProbe(sch, a.seconds);
+        out.attempted += probe.attempted;
+        out.failed += probe.failed;
+        out.correct = out.correct && probe.failed == 0;
+        lap(3);
+        for (uint32_t s : sch.sample)
+            checkStream(sch, {&w, &probe}, s, out);
+        lap(4);
     }
     if (sch.workload != Workload::LongVideo)
         out.correct = out.correct && harnessValid(w);
-    out.correct = out.correct && samplesPresent(w);
+    out.correct = out.correct && samplesPresent(w, check ? &probe : nullptr);
 
     std::sort(setup_s.begin(), setup_s.end());
-    u.e2e = endToEnd(w, percentile(setup_s, 0.5), peakRssMiB(), fidelity,
-                     create_ms);
+    window_cal.insert(window_cal.end(), w.calUs.begin(), w.calUs.end());
+    const double window_cal_us = percentile(window_cal, 0.50);
+    const double setup_cal_us = percentile(setup_cal, 0.50);
+    const double raw_cpu_ms_per_frame =
+        1e3 * ratio(w.serveCpuS, w.frameMs.size());
+    u.cpuMsPerFrame = raw_cpu_ms_per_frame * ratio(kCalRefUs, window_cal_us);
+    u.e2e = endToEnd(probe,
+                     percentile(setup_s, 0.5) * ratio(kCalRefUs, setup_cal_us),
+                     peakRssMiB(), fidelity);
+    u.wall = wallLatencies(w, create_ms);
     std::printf("# %s seed %llu: %zu frames, %zu first answers, %zu later "
-                "answers, %zu creates, window %.2f s, setup reps",
+                "answers, %zu creates, window %.2f s, serving %.3f CPU s, "
+                "probe %zu sessions %zu frames %zu turns, setup reps",
                 workloadName(a.workload),
                 static_cast<unsigned long long>(a.seed), w.frameMs.size(),
                 w.firstAnswerMs.size(), w.answerMs.size(), create_ms.size(),
-                w.wallS);
+                w.wallS, w.serveCpuS, probe.createCpuMs.size(),
+                probe.frameCpuMs.size(),
+                probe.ttftCpuMs.size());
     for (double s : setup_s)
         std::printf(" %.3f", s);
-    std::printf(" s\n# ungated: frame p90 %.3f p99 %.3f ms, answer p90 %.3f "
-                "p99 %.3f ms, ingest %.3f frames/s, %.3f cores busy\n",
+    std::printf(" s\n# unscaled: setup_s %.4f frame_cpu_ms %.4f "
+                "ttft_cpu_ms %.4f tpot_cpu_ms %.4f create_cpu_ms %.4f; "
+                "calibration median %.2f us in set-up, %.2f us in and "
+                "around the window (%zu in it), %.2f us in the probe "
+                "(reference %.0f us)\n",
+                percentile(setup_s, 0.5), percentile(probe.frameCpuMs, 0.5),
+                percentile(probe.ttftCpuMs, 0.5),
+                percentile(probe.tpotCpuMs, 0.5),
+                percentile(probe.createCpuMs, 0.5), setup_cal_us,
+                window_cal_us, w.calUs.size(),
+                percentile(probe.frameCalUs, 0.5), kCalRefUs);
+    std::printf("# phases: set-up %.1f s, window %.1f s, fidelity %.1f s, "
+                "probe %.1f s, check %.1f s\n",
+                phase_s[0], phase_s[1], phase_s[2], phase_s[3], phase_s[4]);
+    std::printf("# ungated wall clock:");
+    for (const Metric &m : u.wall)
+        std::printf(" %s %.3f", m.name.c_str(), m.value);
+    std::printf(" ms\n# ungated: frame p90 %.3f p99 %.3f ms, answer p90 %.3f "
+                "p99 %.3f ms, ingest %.3f frames/s, %.3f cores busy, "
+                "serving CPU per frame %.4f ms scaled (%.4f ms unscaled)\n",
                 percentile(w.frameMs, 0.90), percentile(w.frameMs, 0.99),
                 percentile(w.answerMs, 0.90), percentile(w.answerMs, 0.99),
                 ratio(w.frameMs.size(), w.frameLatencySumS),
-                ratio(w.cpuS, w.wallS));
+                ratio(w.cpuS, w.wallS), u.cpuMsPerFrame, raw_cpu_ms_per_frame);
     return u;
 }
 
@@ -383,7 +497,7 @@ tracedRun(const Args &a, Outcome &out)
     const Schedule &sch = tp.schedule;
     out.attempted += tw.attempted;
     out.failed += tw.failed;
-    const Metrics traced_e2e = endToEnd(tw, 0.0, 0.0, 0.0, tw.createMs);
+    const Metrics traced_wall = wallLatencies(tw, tw.createMs);
 
     // Traced single-threaded replay of every script; it is also the
     // output check of the traced window.
@@ -448,7 +562,10 @@ tracedRun(const Args &a, Outcome &out)
     const ResvCounters &fc = engine_core.frame;
     const ResvCounters &tc = engine_core.text;
 
-    out.metrics = {
+    out.metrics.clear();
+    for (const Metric &m : base.wall)
+        out.metrics.push_back({"serve." + m.name, m.value, m.unit});
+    const Metrics layers = {
         {"serve.verb_us_p50", percentile(w.verbUs, 0.50), "us"},
         {"serve.verb_us_p99", percentile(w.verbUs, 0.99), "us"},
         {"serve.wait_ms_p50", wait.p50Ms(), "ms"},
@@ -468,6 +585,7 @@ tracedRun(const Args &a, Outcome &out)
         {"serve.kv.blob_kib_mean",
          ratio(st.kv.hibernatedBytes / 1024.0, st.kv.hibernates), "KiB"},
         {"serve.cpu_cores", ratio(w.cpuS, w.wallS), "cores"},
+        {"serve.cpu_ms_per_frame", base.cpuMsPerFrame, "ms"},
         {"harness.lag_ms_p99", percentile(w.lagMs, 0.99), "ms"},
         {"harness.poll_us", percentile(w.pollUs, 0.50), "us"},
         {"kvstore.put_us_p50", store ? percentile(store->putUs(), 0.5) : 0.0,
@@ -522,10 +640,11 @@ tracedRun(const Args &a, Outcome &out)
         {"trace.uncovered_pct", 100.0 * ratio(self.uncoveredS, self.wallS),
          "%"},
     };
+    out.metrics.insert(out.metrics.end(), layers.begin(), layers.end());
     for (const char *name : {"frame_ms_p50", "answer_ms_p50", "ttft_ms"})
         out.metrics.push_back({std::string("trace.overhead.") + name,
-                               metricValue(traced_e2e, name) -
-                                   metricValue(base.e2e, name),
+                               metricValue(traced_wall, name) -
+                                   metricValue(base.wall, name),
                                "ms"});
 }
 
