@@ -29,27 +29,26 @@ struct AttendScratch
     std::vector<uint32_t> attended;
 };
 
-/** Check the degenerate-input contract of one (kv, past, sel, T)
- *  tuple (see attentionForward() docs). O(nKvHeads). */
+/** Check the degenerate-input contract of one member (see
+ *  AttentionMember docs). O(nKvHeads). */
 void
-checkAttentionInputs(const ModelConfig &cfg, const LayerKV &kv,
-                     uint32_t past_len, const LayerSelection *sel,
-                     uint32_t block_len)
+checkAttentionInputs(const ModelConfig &cfg, const AttentionMember &m)
 {
-    VREX_ASSERT(kv.keys.rows() == past_len + block_len,
+    VREX_ASSERT(m.kv != nullptr, "attention member without a cache");
+    VREX_ASSERT(m.kv->keys.rows() == m.pastLen + m.rows,
                 "attention expects the block appended to the cache");
-    VREX_ASSERT(kv.values.rows() == kv.keys.rows(),
+    VREX_ASSERT(m.kv->values.rows() == m.kv->keys.rows(),
                 "attention cache keys/values row mismatch");
-    VREX_ASSERT(sel == nullptr ||
-                sel->kvHeads.size() == cfg.nKvHeads,
+    VREX_ASSERT(m.sel == nullptr ||
+                m.sel->kvHeads.size() == cfg.nKvHeads,
                 "selection has wrong head count");
-    if (sel != nullptr) {
-        for (const HeadSelection &h : sel->kvHeads)
+    if (m.sel != nullptr) {
+        for (const HeadSelection &h : m.sel->kvHeads)
             // Indices are ascending, so the back is the max: every
-            // explicit selection must point below past_len (which
-            // at past_len == 0 means it must be empty).
+            // explicit selection must point below pastLen (which
+            // at pastLen == 0 means it must be empty).
             VREX_ASSERT(h.selectAll || h.indices.empty() ||
-                            h.indices.back() < past_len,
+                            h.indices.back() < m.pastLen,
                         "selection index beyond the past");
     }
 }
@@ -57,8 +56,7 @@ checkAttentionInputs(const ModelConfig &cfg, const LayerKV &kv,
 /**
  * Attend one query token of one head: @p qv against the selected
  * past tokens plus the causal block prefix ending at block offset
- * @p t. Both the block path and the batched path funnel through
- * here, which is what makes them bit-identical per session.
+ * @p t.
  */
 void
 attendToken(const float *qv, const LayerKV &kv, uint32_t kv_off,
@@ -101,71 +99,34 @@ attendToken(const float *qv, const LayerKV &kv, uint32_t kv_off,
 
 void
 attentionForward(const ModelConfig &cfg, const Matrix &q,
-                 const LayerKV &kv, uint32_t past_len,
-                 const LayerSelection *sel, Matrix &out)
+                 const std::vector<AttentionMember> &members, Matrix &out)
 {
     const uint32_t head_dim = cfg.headDim();
-    const uint32_t n_heads = cfg.nHeads;
-    const uint32_t group = cfg.groupSize();
-    const uint32_t block_len = q.rows();
-    if (block_len == 0) {
-        // Explicit empty-block contract: nothing to attend, nothing
-        // read from the cache or the selection.
-        out = Matrix(0, cfg.dModel);
-        return;
+    uint32_t rows = 0;
+    for (const AttentionMember &m : members) {
+        // An empty block reads neither its cache nor its selection.
+        if (m.rows > 0)
+            checkAttentionInputs(cfg, m);
+        rows += m.rows;
     }
-    checkAttentionInputs(cfg, kv, past_len, sel, block_len);
+    VREX_ASSERT(q.rows() == rows, "attention rows must tile the members");
 
-    out = Matrix(block_len, cfg.dModel);
+    out = Matrix(rows, cfg.dModel);
     AttendScratch scratch;
 
-    for (uint32_t h = 0; h < n_heads; ++h) {
-        const uint32_t kv_head = h / group;
+    // Heads outer, members next, tokens inner.
+    for (uint32_t h = 0; h < cfg.nHeads; ++h) {
+        const uint32_t kv_head = h / cfg.groupSize();
         const uint32_t q_off = h * head_dim;
         const uint32_t kv_off = kv_head * head_dim;
-        const HeadSelection *hsel =
-            sel ? &sel->kvHeads[kv_head] : nullptr;
-
-        for (uint32_t t = 0; t < block_len; ++t)
-            attendToken(q.row(t) + q_off, kv, kv_off, head_dim,
-                        past_len, t, hsel, out.row(t) + q_off,
-                        scratch);
-    }
-}
-
-void
-attentionForwardBatched(const ModelConfig &cfg, const Matrix &q,
-                        const std::vector<AttentionBatchItem> &items,
-                        Matrix &out)
-{
-    const uint32_t head_dim = cfg.headDim();
-    const uint32_t n_heads = cfg.nHeads;
-    const uint32_t group = cfg.groupSize();
-    const uint32_t n = static_cast<uint32_t>(items.size());
-    VREX_ASSERT(q.rows() == n, "batched attention row/item mismatch");
-    for (const AttentionBatchItem &item : items) {
-        VREX_ASSERT(item.kv != nullptr, "batched attention null cache");
-        checkAttentionInputs(cfg, *item.kv, item.pastLen, item.sel, 1);
-    }
-
-    out = Matrix(n, cfg.dModel);
-    AttendScratch scratch;
-
-    // Head outer / session inner: the same attendToken() calls a
-    // per-session attentionForward() would make (T == 1 so the head
-    // and token loops commute), just reordered across sessions.
-    for (uint32_t h = 0; h < n_heads; ++h) {
-        const uint32_t kv_head = h / group;
-        const uint32_t q_off = h * head_dim;
-        const uint32_t kv_off = kv_head * head_dim;
-
-        for (uint32_t i = 0; i < n; ++i) {
-            const AttentionBatchItem &item = items[i];
+        uint32_t row = 0;
+        for (const AttentionMember &m : members) {
             const HeadSelection *hsel =
-                item.sel ? &item.sel->kvHeads[kv_head] : nullptr;
-            attendToken(q.row(i) + q_off, *item.kv, kv_off, head_dim,
-                        item.pastLen, 0, hsel, out.row(i) + q_off,
-                        scratch);
+                m.sel ? &m.sel->kvHeads[kv_head] : nullptr;
+            for (uint32_t t = 0; t < m.rows; ++t, ++row)
+                attendToken(q.row(row) + q_off, *m.kv, kv_off, head_dim,
+                            m.pastLen, t, hsel, out.row(row) + q_off,
+                            scratch);
         }
     }
 }

@@ -19,62 +19,43 @@ namespace vrex
 {
 
 /**
- * Compute attention output for a block of T query tokens.
+ * One member of a ragged attention batch: @p rows consecutive query
+ * tokens attending their own session's cache under its own selection.
  *
  * Degenerate-input contract (asserted, not silently tolerated):
- *  - kv.keys and kv.values must both hold exactly past_len + T rows
- *    (the block must already be appended to the cache);
+ *  - kv->keys and kv->values must both hold exactly pastLen + rows
+ *    rows (the block must already be appended to the cache);
  *  - a non-null selection must carry cfg.nKvHeads head entries, and
  *    every explicit (selectAll == false) index list must stay below
- *    past_len — in particular, at past_len == 0 only selectAll or an
+ *    pastLen — in particular, at pastLen == 0 only selectAll or an
  *    empty index list is legal;
- *  - T == 0 (an empty query block) is handled explicitly: the result
- *    is an empty 0 x dModel matrix and the cache/selection are not
- *    read.
- *
- * @param cfg       Model geometry.
- * @param q         Post-RoPE queries, T x (nHeads*headDim).
- * @param kv        One layer's cache; must already contain the block,
- *                  i.e. kv.keys.rows() == past_len + T.
- * @param past_len  Tokens preceding the block.
- * @param sel       Per-KV-head past-token selection; nullptr = full.
- *                  Block tokens are always attended causally.
- * @param out       Result, T x dModel (heads concatenated).
+ *  - rows == 0 (an empty query block) is legal: the member owns no
+ *    output rows and its cache/selection are not read.
  */
-void attentionForward(const ModelConfig &cfg, const Matrix &q,
-                      const LayerKV &kv, uint32_t past_len,
-                      const LayerSelection *sel, Matrix &out);
-
-/**
- * One member of a cross-session batched generation step: a single
- * query token attending that session's own cache under that
- * session's own selection. The same degenerate-input contract as
- * attentionForward() applies per item (with T == 1, so
- * kv->keys.rows() == pastLen + 1).
- */
-struct AttentionBatchItem
+struct AttentionMember
 {
     const LayerKV *kv = nullptr;
     uint32_t pastLen = 0;
-    /** Per-KV-head past-token selection; nullptr = full. */
+    /** Per-KV-head past-token selection; nullptr = full. Block
+     *  tokens are always attended causally. */
     const LayerSelection *sel = nullptr;
+    uint32_t rows = 0;
 };
 
 /**
- * Fused single-token attention over N independent sessions.
+ * Attention output for a ragged batch of query blocks.
  *
- * @param cfg   Model geometry shared by every item.
- * @param q     Post-RoPE queries, N x (nHeads*headDim); row i is
- *              item i's single query token.
- * @param items One (cache, past length, selection) tuple per row.
- * @param out   Result, N x dModel; row i is bit-identical to
- *              attentionForward() over a 1-row q for item i — both
- *              paths run the same per-(head, token) kernel, so
- *              batching cannot change any session's bytes.
+ * @param cfg     Model geometry shared by every member.
+ * @param q       Post-RoPE queries, (sum of rows) x (nHeads*headDim);
+ *                the members own consecutive row ranges, in order.
+ * @param members One (cache, past length, selection, rows) per block.
+ * @param out     Result, (sum of rows) x dModel (heads concatenated).
+ *                Every (row, head) slice is one attendToken() call, so
+ *                a member's rows do not depend on its batch peers.
  */
-void attentionForwardBatched(const ModelConfig &cfg, const Matrix &q,
-                             const std::vector<AttentionBatchItem> &items,
-                             Matrix &out);
+void attentionForward(const ModelConfig &cfg, const Matrix &q,
+                      const std::vector<AttentionMember> &members,
+                      Matrix &out);
 
 } // namespace vrex
 

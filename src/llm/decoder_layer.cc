@@ -22,6 +22,15 @@ randomWeight(uint32_t out_dim, uint32_t in_dim, Rng &rng)
     return w;
 }
 
+/** Rows [first, first + count) of @p m as their own matrix. */
+Matrix
+rowSlice(const Matrix &m, uint32_t first, uint32_t count)
+{
+    Matrix out(count, m.cols());
+    std::copy_n(m.row(first), size_t(count) * m.cols(), out.raw());
+    return out;
+}
+
 } // namespace
 
 DecoderLayer::DecoderLayer(const ModelConfig &config, uint32_t index,
@@ -48,184 +57,111 @@ DecoderLayer::DecoderLayer(const ModelConfig &config, uint32_t index,
 }
 
 std::vector<LayerSelection>
-DecoderLayer::forwardBatched(
-    const std::vector<const DecoderLayer *> &layers, Matrix &x,
-    const std::vector<BatchItem> &items, TokenStage stage)
+DecoderLayer::forward(const std::vector<Member> &members, Matrix &x)
 {
-    const uint32_t n = static_cast<uint32_t>(layers.size());
-    VREX_ASSERT(n > 0, "batched layer forward needs sessions");
-    VREX_ASSERT(items.size() == n && x.rows() == n,
-                "batched layer forward row/item mismatch");
-    const ModelConfig &cfg = layers[0]->cfg;
+    VREX_ASSERT(!members.empty(), "layer forward needs members");
+    const DecoderLayer &first = *members[0].layer;
+    const ModelConfig &cfg = first.cfg;
     const uint32_t d = cfg.dModel;
     const uint32_t head_dim = cfg.headDim();
-    const uint32_t kv_dim = cfg.nKvHeads * head_dim;
-    const uint32_t layer_index = layers[0]->layerIndex;
-    for (const DecoderLayer *l : layers)
-        VREX_ASSERT(l->layerIndex == layer_index &&
-                        l->cfg.dModel == d &&
-                        l->cfg.nHeads == cfg.nHeads &&
-                        l->cfg.nKvHeads == cfg.nKvHeads &&
-                        l->cfg.ffnDim == cfg.ffnDim,
-                    "batched layer forward needs one geometry");
+    const uint32_t n = static_cast<uint32_t>(members.size());
 
-    // Contiguous equal-seed runs share one weight stream: equal
-    // (config, seed) means byte-identical weights, so any member of
-    // the run can lend its matrices to the whole group.
+    // Row offset of every member, and the contiguous equal-seed runs
+    // of members: equal (config, seed) means byte-identical weights,
+    // so a run's first layer lends its matrices to the whole run.
+    std::vector<uint32_t> row0(n + 1, 0);
     std::vector<std::pair<uint32_t, uint32_t>> runs;
-    uint32_t begin = 0;
-    for (uint32_t i = 1; i <= n; ++i) {
-        if (i == n ||
-            layers[i]->weightSeed != layers[begin]->weightSeed) {
-            runs.emplace_back(begin, i);
-            begin = i;
-        }
+    for (uint32_t i = 0; i < n; ++i) {
+        const DecoderLayer &l = *members[i].layer;
+        VREX_ASSERT(l.layerIndex == first.layerIndex &&
+                        l.cfg.dModel == d &&
+                        l.cfg.nHeads == cfg.nHeads &&
+                        l.cfg.nKvHeads == cfg.nKvHeads &&
+                        l.cfg.ffnDim == cfg.ffnDim,
+                    "layer forward needs one geometry");
+        VREX_ASSERT(members[i].rows > 0, "layer forward of an empty block");
+        row0[i + 1] = row0[i] + members[i].rows;
+        if (runs.empty() ||
+            members[runs.back().first].layer->weightSeed != l.weightSeed)
+            runs.emplace_back(i, i + 1);
+        else
+            runs.back().second = i + 1;
     }
-    auto groupsFor = [&](const Matrix DecoderLayer::*w) {
-        std::vector<RowGroup> gs;
-        gs.reserve(runs.size());
+    VREX_ASSERT(x.rows() == row0[n], "layer rows must tile the members");
+    auto project = [&](const Matrix &a, const Matrix DecoderLayer::*w,
+                      Matrix &out) {
+        std::vector<RowGroup> groups;
         for (const auto &[b, e] : runs)
-            gs.push_back({b, e, &(layers[b]->*w)});
-        return gs;
+            groups.push_back({row0[b], row0[e], &(members[b].layer->*w)});
+        matmulTransposedGrouped(a, groups, out);
     };
-
-    // Attention sub-block: forward()'s exact steps, one row per
-    // session, with the projections fused across the batch.
-    Matrix h = x;
-    for (uint32_t i = 0; i < n; ++i)
-        rmsNorm(h.row(i), layers[i]->attnNorm.data(), d);
-
-    Matrix q, k, v;
-    matmulTransposedGrouped(h, groupsFor(&DecoderLayer::wq), q);
-    matmulTransposedGrouped(h, groupsFor(&DecoderLayer::wk), k);
-    matmulTransposedGrouped(h, groupsFor(&DecoderLayer::wv), v);
-
-    for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t pos = items[i].basePos;
-        for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
-            applyRope(q.row(i) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
-        for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
-            applyRope(k.row(i) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
-    }
-
-    // Cache append + policy consultation touch session-private
-    // state: per session, in the order forward() performs them.
-    std::vector<LayerSelection> sels;
-    sels.reserve(n);
-    Matrix k1(1, kv_dim), v1(1, kv_dim), q1(1, d);
-    for (uint32_t i = 0; i < n; ++i) {
-        KVCache &cache = *items[i].cache;
-        std::copy_n(k.row(i), kv_dim, k1.row(0));
-        std::copy_n(v.row(i), kv_dim, v1.row(0));
-        cache.appendLayer(layer_index, k1, v1);
-        LayerSelection sel = LayerSelection::full(cfg.nKvHeads);
-        if (items[i].policy) {
-            items[i].policy->onBlockAppended(
-                layer_index, cache, items[i].basePos, 1, stage);
-            std::copy_n(q.row(i), d, q1.row(0));
-            sel = items[i].policy->select(layer_index, q1, cache,
-                                          items[i].basePos, stage);
-        }
-        sels.push_back(std::move(sel));
-    }
-
-    Matrix attn_out;
-    std::vector<AttentionBatchItem> attn_items(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        attn_items[i].kv = &items[i].cache->layer(layer_index);
-        attn_items[i].pastLen = items[i].basePos;
-        attn_items[i].sel = &sels[i];
-    }
-    attentionForwardBatched(cfg, q, attn_items, attn_out);
-
-    Matrix proj;
-    matmulTransposedGrouped(attn_out, groupsFor(&DecoderLayer::wo),
-                            proj);
-    for (uint32_t i = 0; i < n; ++i)
-        addInPlace(x.row(i), proj.row(i), d);
-
-    // FFN sub-block.
-    Matrix h2 = x;
-    for (uint32_t i = 0; i < n; ++i)
-        rmsNorm(h2.row(i), layers[i]->ffnNorm.data(), d);
-    Matrix gate, up, down;
-    matmulTransposedGrouped(h2, groupsFor(&DecoderLayer::w1), gate);
-    matmulTransposedGrouped(h2, groupsFor(&DecoderLayer::w3), up);
-    for (uint32_t i = 0; i < n; ++i) {
-        silu(gate.row(i), cfg.ffnDim);
-        hadamard(gate.row(i), up.row(i), cfg.ffnDim);
-    }
-    matmulTransposedGrouped(gate, groupsFor(&DecoderLayer::w2), down);
-    for (uint32_t i = 0; i < n; ++i)
-        addInPlace(x.row(i), down.row(i), d);
-
-    return sels;
-}
-
-LayerSelection
-DecoderLayer::forward(Matrix &x, KVCache &cache, SelectionPolicy *policy,
-                      TokenStage stage, uint32_t base_pos) const
-{
-    const uint32_t block_len = x.rows();
-    const uint32_t d = cfg.dModel;
-    const uint32_t head_dim = cfg.headDim();
-    const uint32_t past_len = base_pos;
 
     // Attention sub-block.
     Matrix h = x;
-    for (uint32_t t = 0; t < block_len; ++t)
-        rmsNorm(h.row(t), attnNorm.data(), d);
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t r = row0[i]; r < row0[i + 1]; ++r)
+            rmsNorm(h.row(r), members[i].layer->attnNorm.data(), d);
 
     Matrix q, k, v;
-    matmulTransposed(h, wq, q);
-    matmulTransposed(h, wk, k);
-    matmulTransposed(h, wv, v);
+    project(h, &DecoderLayer::wq, q);
+    project(h, &DecoderLayer::wk, k);
+    project(h, &DecoderLayer::wv, v);
 
-    for (uint32_t t = 0; t < block_len; ++t) {
-        const uint32_t pos = base_pos + t;
-        for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
-            applyRope(q.row(t) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
-        for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
-            applyRope(k.row(t) + hh * head_dim, head_dim, pos,
-                      cfg.ropeTheta);
+    for (uint32_t i = 0; i < n; ++i) {
+        for (uint32_t r = row0[i]; r < row0[i + 1]; ++r) {
+            const uint32_t pos = members[i].basePos + (r - row0[i]);
+            for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
+                applyRope(q.row(r) + hh * head_dim, head_dim, pos,
+                          cfg.ropeTheta);
+            for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
+                applyRope(k.row(r) + hh * head_dim, head_dim, pos,
+                          cfg.ropeTheta);
+        }
     }
 
-    cache.appendLayer(layerIndex, k, v);
-    LayerSelection sel = LayerSelection::full(cfg.nKvHeads);
-    if (policy) {
-        policy->onBlockAppended(layerIndex, cache, past_len, block_len,
-                                stage);
-        sel = policy->select(layerIndex, q, cache, past_len, stage);
+    // Cache append and policy calls touch member-private state: per
+    // member, in member order.
+    const uint32_t l = first.layerIndex;
+    std::vector<LayerSelection> sels(n, LayerSelection::full(cfg.nKvHeads));
+    std::vector<AttentionMember> attn;
+    for (uint32_t i = 0; i < n; ++i) {
+        const Member &m = members[i];
+        m.cache->appendLayer(l, rowSlice(k, row0[i], m.rows),
+                             rowSlice(v, row0[i], m.rows));
+        if (m.policy) {
+            m.policy->onBlockAppended(l, *m.cache, m.basePos, m.rows,
+                                      m.stage);
+            sels[i] = m.policy->select(l, rowSlice(q, row0[i], m.rows),
+                                       *m.cache, m.basePos, m.stage);
+        }
+        attn.push_back({&m.cache->layer(l), m.basePos, &sels[i], m.rows});
     }
 
     Matrix attn_out;
-    attentionForward(cfg, q, cache.layer(layerIndex), past_len, &sel,
-                     attn_out);
+    attentionForward(cfg, q, attn, attn_out);
 
     Matrix proj;
-    matmulTransposed(attn_out, wo, proj);
-    for (uint32_t t = 0; t < block_len; ++t)
-        addInPlace(x.row(t), proj.row(t), d);
+    project(attn_out, &DecoderLayer::wo, proj);
+    for (uint32_t r = 0; r < x.rows(); ++r)
+        addInPlace(x.row(r), proj.row(r), d);
 
     // FFN sub-block.
     Matrix h2 = x;
-    for (uint32_t t = 0; t < block_len; ++t)
-        rmsNorm(h2.row(t), ffnNorm.data(), d);
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t r = row0[i]; r < row0[i + 1]; ++r)
+            rmsNorm(h2.row(r), members[i].layer->ffnNorm.data(), d);
     Matrix gate, up, down;
-    matmulTransposed(h2, w1, gate);
-    matmulTransposed(h2, w3, up);
-    for (uint32_t t = 0; t < block_len; ++t) {
-        silu(gate.row(t), cfg.ffnDim);
-        hadamard(gate.row(t), up.row(t), cfg.ffnDim);
+    project(h2, &DecoderLayer::w1, gate);
+    project(h2, &DecoderLayer::w3, up);
+    for (uint32_t r = 0; r < x.rows(); ++r) {
+        silu(gate.row(r), cfg.ffnDim);
+        hadamard(gate.row(r), up.row(r), cfg.ffnDim);
     }
-    matmulTransposed(gate, w2, down);
-    for (uint32_t t = 0; t < block_len; ++t)
-        addInPlace(x.row(t), down.row(t), d);
+    project(gate, &DecoderLayer::w2, down);
+    for (uint32_t r = 0; r < x.rows(); ++r)
+        addInPlace(x.row(r), down.row(r), d);
 
-    return sel;
+    return sels;
 }
 
 } // namespace vrex

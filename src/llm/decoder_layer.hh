@@ -28,55 +28,39 @@ class DecoderLayer
                  uint64_t seed);
 
     /**
-     * Forward one block of hidden states in place.
-     *
-     * Appends this layer's K/V to @p cache, consults @p policy for
-     * past-token selection, and records the selection ratio.
-     *
-     * @param x         Hidden states, block_len x dModel (updated).
-     * @param cache     The KV cache (beginTokens already called).
-     * @param policy    Retrieval policy; nullptr = full attention.
-     * @param stage     Pipeline stage of this block.
-     * @param base_pos  Absolute position of the block's first token.
-     * @return The selection used (for ratio accounting).
+     * One member of a ragged-batch layer forward: a session's own
+     * block of T consecutive rows of x, run through that session's
+     * copy of the layer against its own cache and policy.
      */
-    LayerSelection forward(Matrix &x, KVCache &cache,
-                           SelectionPolicy *policy, TokenStage stage,
-                           uint32_t base_pos) const;
-
-    /** One session's slot in a batched single-token forward. */
-    struct BatchItem
+    struct Member
     {
-        KVCache *cache = nullptr;
-        SelectionPolicy *policy = nullptr; //!< nullptr = full.
-        uint32_t basePos = 0;              //!< Past length / position.
+        const DecoderLayer *layer = nullptr;
+        KVCache *cache = nullptr;          //!< beginTokens() already called.
+        SelectionPolicy *policy = nullptr; //!< nullptr = full attention.
+        uint32_t basePos = 0;  //!< First row's position (= past length).
+        uint32_t rows = 0;     //!< T >= 1.
+        TokenStage stage = TokenStage::GeneratedText;
     };
 
     /**
-     * Fused single-token forward over N independent sessions:
-     * layers[i] is session i's copy of the *same* layer index, row i
-     * of @p x is session i's hidden state (updated in place), and
-     * items[i] carries session i's cache/policy/position.
+     * Forward a ragged batch of blocks in place: the members own
+     * consecutive row ranges of @p x, in order, and must share one
+     * layer index and geometry.
      *
-     * The projections run through the row-grouped matmul (sessions
-     * with equal weight seeds share one weight stream); every
-     * per-row op (norms, RoPE, activations, residuals), the cache
-     * append, the policy calls and the attention kernel are the
-     * per-session operations forward() performs, in the same
-     * per-session order — so each session's bytes are identical to
-     * a solo forward() with a 1-row block.
+     * Per member this performs a solo block forward's operations in
+     * its order: RoPE at basePos + t, the cache append,
+     * onBlockAppended(), select() on exactly the member's T query
+     * rows, and attention. The projections run through the
+     * row-grouped matmul, where contiguous members with equal weight
+     * seeds share one weight stream; every output element is still
+     * one dot(), so no member's bytes depend on its batch peers.
+     *
+     * @return The selection each member used (ratio accounting).
      */
     static std::vector<LayerSelection>
-    forwardBatched(const std::vector<const DecoderLayer *> &layers,
-                   Matrix &x, const std::vector<BatchItem> &items,
-                   TokenStage stage);
+    forward(const std::vector<Member> &members, Matrix &x);
 
     uint32_t index() const { return layerIndex; }
-
-    /** The weight-stream seed this layer was built from: layers with
-     *  equal (config, seed) have byte-identical weights, which is
-     *  what lets batched rows share one weight matrix. */
-    uint64_t seed() const { return weightSeed; }
 
   private:
     ModelConfig cfg;

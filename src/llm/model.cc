@@ -43,117 +43,81 @@ Model::embedTokens(const std::vector<uint32_t> &ids) const
     return x;
 }
 
-BlockStats
-Model::forwardBlock(Matrix x, int32_t frame_id, TokenStage stage)
-{
-    VREX_ASSERT(x.cols() == cfg.dModel, "bad block width");
-    const uint32_t base = kv.tokenCount();
-    const uint32_t block_len = x.rows();
-    kv.beginTokens(block_len, frame_id, stage);
-
-    BlockStats stats;
-    stats.stage = stage;
-    stats.blockLen = block_len;
-    stats.pastLen = base;
-    stats.layerRatios.reserve(cfg.nLayers);
-    stats.selectedPerHead.reserve(cfg.nLayers);
-
-    for (const auto &layer : layers) {
-        LayerSelection sel =
-            layer.forward(x, kv, selPolicy, stage, base);
-        stats.layerRatios.push_back(sel.selectedRatio(base));
-        std::vector<uint32_t> per_head;
-        per_head.reserve(sel.kvHeads.size());
-        for (const auto &h : sel.kvHeads)
-            per_head.push_back(h.selectedCount(base));
-        stats.selectedPerHead.push_back(std::move(per_head));
-    }
-
-    // Final norm of the last row becomes the decoding state.
-    lastHid.assign(x.row(block_len - 1),
-                   x.row(block_len - 1) + cfg.dModel);
-    rmsNorm(lastHid.data(), finalNorm.data(), cfg.dModel);
-
-    blockHistory.push_back(stats);
-    return blockHistory.back();
-}
-
 std::vector<BlockStats>
-Model::forwardBlockBatched(const std::vector<Model *> &models,
-                          Matrix x, int32_t frame_id, TokenStage stage)
+Model::forward(const std::vector<Member> &members, Matrix x)
 {
-    const uint32_t n = static_cast<uint32_t>(models.size());
-    VREX_ASSERT(n > 0, "batched forward needs models");
-    const ModelConfig &cfg = models[0]->cfg;
-    VREX_ASSERT(x.rows() == n && x.cols() == cfg.dModel,
-                "batched forward row/model mismatch");
-    for (const Model *m : models)
-        VREX_ASSERT(m->cfg.nLayers == cfg.nLayers &&
-                        m->cfg.dModel == cfg.dModel &&
-                        m->cfg.nHeads == cfg.nHeads &&
-                        m->cfg.nKvHeads == cfg.nKvHeads &&
-                        m->cfg.ffnDim == cfg.ffnDim &&
-                        m->cfg.vocabSize == cfg.vocabSize,
-                    "batched forward needs one geometry");
-
-    std::vector<BlockStats> stats(n);
-    std::vector<DecoderLayer::BatchItem> items(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        Model &m = *models[i];
-        const uint32_t base = m.kv.tokenCount();
-        m.kv.beginTokens(1, frame_id, stage);
-        items[i].cache = &m.kv;
-        items[i].policy = m.selPolicy;
-        items[i].basePos = base;
-        stats[i].stage = stage;
-        stats[i].blockLen = 1;
-        stats[i].pastLen = base;
-        stats[i].layerRatios.reserve(cfg.nLayers);
-        stats[i].selectedPerHead.reserve(cfg.nLayers);
+    VREX_ASSERT(!members.empty(), "forward needs members");
+    const ModelConfig &cfg = members[0].model->cfg;
+    std::vector<BlockStats> stats(members.size());
+    std::vector<uint32_t> live; // Members with rows, in order.
+    std::vector<DecoderLayer::Member> layer_members;
+    uint32_t rows = 0;
+    for (uint32_t i = 0; i < members.size(); ++i) {
+        const Member &m = members[i];
+        VREX_ASSERT(m.model->cfg.nLayers == cfg.nLayers,
+                    "forward needs one geometry");
+        stats[i].stage = m.stage;
+        stats[i].blockLen = m.rows;
+        stats[i].pastLen = m.model->kv.tokenCount();
+        rows += m.rows;
+        if (m.rows == 0)
+            continue;
+        m.model->kv.beginTokens(m.rows, m.frameId, m.stage);
+        live.push_back(i);
+        layer_members.push_back({nullptr, &m.model->kv, m.model->selPolicy,
+                                 stats[i].pastLen, m.rows, m.stage});
     }
+    VREX_ASSERT(x.rows() == rows && x.cols() == cfg.dModel,
+                "forward rows must tile the members");
 
-    std::vector<const DecoderLayer *> layer_ptrs(n);
-    for (uint32_t l = 0; l < cfg.nLayers; ++l) {
-        for (uint32_t i = 0; i < n; ++i)
-            layer_ptrs[i] = &models[i]->layers[l];
-        std::vector<LayerSelection> sels =
-            DecoderLayer::forwardBatched(layer_ptrs, x, items, stage);
-        for (uint32_t i = 0; i < n; ++i) {
-            const LayerSelection &sel = sels[i];
-            const uint32_t base = items[i].basePos;
-            stats[i].layerRatios.push_back(sel.selectedRatio(base));
-            std::vector<uint32_t> per_head;
-            per_head.reserve(sel.kvHeads.size());
-            for (const auto &h : sel.kvHeads)
-                per_head.push_back(h.selectedCount(base));
-            stats[i].selectedPerHead.push_back(std::move(per_head));
+    for (uint32_t l = 0; l < cfg.nLayers && !live.empty(); ++l) {
+        for (size_t j = 0; j < live.size(); ++j)
+            layer_members[j].layer = &members[live[j]].model->layers[l];
+        const std::vector<LayerSelection> sels =
+            DecoderLayer::forward(layer_members, x);
+        for (size_t j = 0; j < live.size(); ++j) {
+            BlockStats &st = stats[live[j]];
+            st.layerRatios.push_back(sels[j].selectedRatio(st.pastLen));
+            std::vector<uint32_t> &per_head =
+                st.selectedPerHead.emplace_back();
+            for (const auto &h : sels[j].kvHeads)
+                per_head.push_back(h.selectedCount(st.pastLen));
         }
     }
 
-    // Final norm of each model's row becomes its decoding state.
-    for (uint32_t i = 0; i < n; ++i) {
-        Model &m = *models[i];
-        m.lastHid.assign(x.row(i), x.row(i) + cfg.dModel);
-        rmsNorm(m.lastHid.data(), m.finalNorm.data(), cfg.dModel);
-        m.blockHistory.push_back(stats[i]);
+    // Final norm of each block's last row becomes its decoding state.
+    uint32_t end = 0;
+    for (const Member &m : members) {
+        end += m.rows;
+        if (m.rows == 0)
+            continue;
+        m.model->lastHid.assign(x.row(end - 1), x.row(end - 1) + cfg.dModel);
+        rmsNorm(m.model->lastHid.data(), m.model->finalNorm.data(),
+                cfg.dModel);
     }
     return stats;
 }
 
-Matrix
-Model::lastLogitsBatched(const std::vector<Model *> &models)
+BlockStats
+Model::forwardBlock(Matrix x, int32_t frame_id, TokenStage stage)
 {
-    const uint32_t n = static_cast<uint32_t>(models.size());
-    VREX_ASSERT(n > 0, "batched logits need models");
-    const ModelConfig &cfg = models[0]->cfg;
+    const uint32_t rows = x.rows();
+    return forward({{this, rows, frame_id, stage}}, std::move(x))[0];
+}
 
+Matrix
+Model::logits(const std::vector<const Model *> &models)
+{
+    VREX_ASSERT(!models.empty(), "logits need models");
+    const ModelConfig &cfg = models[0]->cfg;
+    const uint32_t n = static_cast<uint32_t>(models.size());
     Matrix hid(n, cfg.dModel);
     std::vector<RowGroup> groups;
     for (uint32_t i = 0; i < n; ++i) {
         const Model &m = *models[i];
         VREX_ASSERT(m.cfg.dModel == cfg.dModel &&
                         m.cfg.vocabSize == cfg.vocabSize,
-                    "batched logits need one geometry");
+                    "logits need one geometry");
         std::copy_n(m.lastHid.data(), cfg.dModel, hid.row(i));
         if (groups.empty() ||
             models[groups.back().rowBegin]->weightSeed != m.weightSeed)
@@ -161,13 +125,16 @@ Model::lastLogitsBatched(const std::vector<Model *> &models)
         else
             groups.back().rowEnd = i + 1;
     }
+    Matrix out;
+    matmulTransposedGrouped(hid, groups, out);
+    return out;
+}
 
-    // logits = lastHid · embedding^T, fused so one streamed
-    // embedding row serves every model of a seed group. Each element
-    // is the dot() lastLogits() computes.
-    Matrix logits;
-    matmulTransposedGrouped(hid, groups, logits);
-    return logits;
+std::vector<float>
+Model::lastLogits() const
+{
+    const Matrix out = logits({this});
+    return std::vector<float>(out.row(0), out.row(0) + cfg.vocabSize);
 }
 
 BlockStats
@@ -182,38 +149,12 @@ Model::prefillText(const std::vector<uint32_t> &ids)
     return forwardBlock(embedTokens(ids), -1, TokenStage::QuestionText);
 }
 
-std::vector<float>
-Model::lastLogits() const
-{
-    std::vector<float> logits(cfg.vocabSize, 0.0f);
-    for (uint32_t v = 0; v < cfg.vocabSize; ++v)
-        logits[v] = dot(lastHid.data(), embedding.row(v), cfg.dModel);
-    return logits;
-}
-
-std::vector<uint32_t>
-Model::generate(uint32_t max_tokens)
-{
-    std::vector<uint32_t> out;
-    out.reserve(max_tokens);
-    for (uint32_t i = 0; i < max_tokens; ++i) {
-        std::vector<float> logits = lastLogits();
-        uint32_t best = static_cast<uint32_t>(
-            std::max_element(logits.begin(), logits.end()) -
-            logits.begin());
-        out.push_back(best);
-        forwardBlock(embedTokens({best}), -1, TokenStage::GeneratedText);
-    }
-    return out;
-}
-
 void
 Model::resetSession()
 {
     kv.clear();
     if (selPolicy)
         selPolicy->reset();
-    blockHistory.clear();
     lastHid.assign(cfg.dModel, 0.0f);
 }
 
@@ -222,16 +163,6 @@ Model::serializeState(serial::ByteWriter &w) const
 {
     kv.serialize(w);
     w.putVec(lastHid);
-    w.put<uint64_t>(blockHistory.size());
-    for (const auto &b : blockHistory) {
-        w.put<uint8_t>(static_cast<uint8_t>(b.stage));
-        w.put<uint32_t>(b.blockLen);
-        w.put<uint32_t>(b.pastLen);
-        w.putVec(b.layerRatios);
-        w.put<uint64_t>(b.selectedPerHead.size());
-        for (const auto &heads : b.selectedPerHead)
-            w.putVec(heads);
-    }
 }
 
 void
@@ -242,20 +173,6 @@ Model::restoreState(serial::ByteReader &r)
     if (lastHid.size() != cfg.dModel)
         throw serial::SerialError(
             "Model::restoreState: lastHidden size mismatch");
-    const uint64_t n_blocks = r.get<uint64_t>();
-    blockHistory.clear();
-    for (uint64_t i = 0; i < n_blocks; ++i) {
-        BlockStats b;
-        b.stage = static_cast<TokenStage>(r.get<uint8_t>());
-        b.blockLen = r.get<uint32_t>();
-        b.pastLen = r.get<uint32_t>();
-        b.layerRatios = r.getVec<double>();
-        const uint64_t n_layers = r.get<uint64_t>();
-        b.selectedPerHead.clear();
-        for (uint64_t l = 0; l < n_layers; ++l)
-            b.selectedPerHead.push_back(r.getVec<uint32_t>());
-        blockHistory.push_back(std::move(b));
-    }
 }
 
 } // namespace vrex

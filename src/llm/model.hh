@@ -51,30 +51,35 @@ class Model
     /** Embed token ids into model space. */
     Matrix embedTokens(const std::vector<uint32_t> &ids) const;
 
+    /** One member of a ragged-batch forward(): the next @p rows rows
+     *  of x form one block of @p model's stream. */
+    struct Member
+    {
+        Model *model = nullptr;
+        uint32_t rows = 0;
+        int32_t frameId = -1;
+        TokenStage stage = TokenStage::GeneratedText;
+    };
+
     /**
-     * Run one block through all layers (iterative prefill step or a
-     * generation step). @p x rows become KV entries; returns selection
-     * accounting and records it in history().
+     * Run a ragged batch of blocks through all layers (iterative
+     * prefill steps or generation steps): the members own consecutive
+     * row ranges of @p x, in order, and share one geometry. Each
+     * member's rows become KV entries of its own cache under its own
+     * policy, and its last row sets its lastHidden(). Per member the
+     * bytes equal a forward of that member alone (see
+     * DecoderLayer::forward()).
+     *
+     * A zero-row member appends no tokens, makes no policy call and
+     * keeps its lastHidden(); its BlockStats has no layer entries.
+     *
+     * @return Selection accounting, one BlockStats per member.
      */
+    static std::vector<BlockStats> forward(const std::vector<Member> &members,
+                                           Matrix x);
+
+    /** forward() of one member: this model's block @p x. */
     BlockStats forwardBlock(Matrix x, int32_t frame_id, TokenStage stage);
-
-    /**
-     * Fused single-token forwardBlock() over N independent models
-     * sharing one geometry: row i of @p x is model i's token
-     * embedding. Projections are fused across models (rows with
-     * equal weight seeds share one weight stream via the row-grouped
-     * matmul); caches, policies, history and hidden state advance
-     * per model exactly as a solo forwardBlock() would, so every
-     * model's bytes are identical to N sequential calls.
-     */
-    static std::vector<BlockStats>
-    forwardBlockBatched(const std::vector<Model *> &models, Matrix x,
-                        int32_t frame_id, TokenStage stage);
-
-    /** Fused lastLogits() over N models: row i of the result equals
-     *  models[i]->lastLogits() bit for bit (same per-element dot
-     *  against that model's tied embedding). */
-    static Matrix lastLogitsBatched(const std::vector<Model *> &models);
 
     /** Prefill one video frame's projected embeddings. */
     BlockStats prefillFrame(const Matrix &frame_embeds, int32_t frame_id);
@@ -82,35 +87,28 @@ class Model
     /** Prefill question text tokens. */
     BlockStats prefillText(const std::vector<uint32_t> &ids);
 
-    /** Greedy-decode @p max_tokens; returns generated token ids. */
-    std::vector<uint32_t> generate(uint32_t max_tokens);
-
     /** Hidden state of the most recent token (post final norm). */
     const std::vector<float> &lastHidden() const { return lastHid; }
 
-    /** Logits of the most recent token (tied embedding). */
+    /** Logits of every model's most recent token (tied embedding),
+     *  one row per model. Contiguous models with equal seeds share
+     *  one embedding stream; each element is one dot(). */
+    static Matrix logits(const std::vector<const Model *> &models);
+
+    /** logits() of this model alone. */
     std::vector<float> lastLogits() const;
 
-    /** All block stats since the last clearHistory(). */
-    const std::vector<BlockStats> &history() const { return blockHistory; }
-    void clearHistory() { blockHistory.clear(); }
-
-    /** Reset the cache, the policy state, and history. */
+    /** Reset the cache, the policy state, and the hidden state. */
     void resetSession();
 
     /** The installed retrieval policy (nullptr = full attention). */
     SelectionPolicy *policy() const { return selPolicy; }
 
-    /** The weight seed this model was constructed with: equal
-     *  (config, seed) pairs have byte-identical weights, the
-     *  grouping key of the batched execution path. */
-    uint64_t seed() const { return weightSeed; }
-
     /**
-     * Serialize the mutable model state: KV cache, last hidden
-     * state, and block history. Weights are NOT serialized — they
-     * are deterministic from (config, seed) and the restoring model
-     * must be constructed with the same pair. Policy state is
+     * Serialize the mutable model state: KV cache and last hidden
+     * state. Weights are NOT serialized — they are deterministic
+     * from (config, seed) and the restoring model must be
+     * constructed with the same pair. Policy state is
      * serialized separately by the owner (the policy object lives
      * outside the model).
      */
@@ -126,7 +124,6 @@ class Model
     std::vector<float> finalNorm;
     SelectionPolicy *selPolicy = nullptr;
     std::vector<float> lastHid;
-    std::vector<BlockStats> blockHistory;
 };
 
 } // namespace vrex

@@ -46,7 +46,7 @@ StreamingSession::begin(const std::string &name,
 void
 StreamingSession::accumulate(const BlockStats &stats)
 {
-    if (stats.pastLen == 0)
+    if (stats.pastLen == 0 || stats.blockLen == 0)
         return;
     const double ratio = stats.meanRatio();
     if (stats.stage == TokenStage::VideoFrame) {
@@ -97,76 +97,44 @@ StreamingSession::feedQuestion(uint32_t tokens)
 void
 StreamingSession::generate(uint32_t tokens)
 {
-    VREX_ASSERT(stream != nullptr, "generate before begin()");
-    for (uint32_t i = 0; i < tokens; ++i) {
-        // Argmax of the current state.
-        std::vector<float> logits = llm.lastLogits();
-        uint32_t best = static_cast<uint32_t>(
-            std::max_element(logits.begin(), logits.end()) -
-            logits.begin());
-        generatedTokens.push_back(best);
-        logitsPerStep.push_back(std::move(logits));
-        // Advance with the forced token when provided.
-        uint32_t next = best;
-        if (forcedPos < forced.size())
-            next = forced[forcedPos++];
-        accumulate(llm.forwardBlock(llm.embedTokens({next}), -1,
-                                    TokenStage::GeneratedText));
-    }
+    for (uint32_t i = 0; i < tokens; ++i)
+        generateStep({this});
 }
 
 void
-StreamingSession::generateStepBatched(
+StreamingSession::generateStep(
     const std::vector<StreamingSession *> &sessions)
 {
-    VREX_ASSERT(!sessions.empty(), "batched step needs sessions");
-    if (sessions.size() == 1) {
-        sessions[0]->generate(1);
-        return;
+    std::vector<const Model *> models;
+    for (const StreamingSession *s : sessions) {
+        VREX_ASSERT(s->stream != nullptr, "generate before begin()");
+        models.push_back(&s->llm);
     }
-
-    // Stable-sort by weight seed so equal-seed sessions form
-    // contiguous runs for the grouped matmuls. Order cannot change
-    // results: every fused op is row-independent.
-    std::vector<StreamingSession *> ordered = sessions;
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const StreamingSession *a,
-                        const StreamingSession *b) {
-                         return a->seed < b->seed;
-                     });
-
-    const uint32_t n = static_cast<uint32_t>(ordered.size());
-    std::vector<Model *> models(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        VREX_ASSERT(ordered[i]->stream != nullptr,
-                    "generate before begin()");
-        models[i] = &ordered[i]->llm;
-    }
-
-    // Fused logits, then the per-session argmax / recording /
-    // forcing steps of generate(), in session order.
-    Matrix logits = Model::lastLogitsBatched(models);
-    const uint32_t vocab = models[0]->config().vocabSize;
+    const Matrix logits = Model::logits(models);
+    const uint32_t vocab = logits.cols();
     const uint32_t d = models[0]->config().dModel;
-    Matrix x(n, d);
-    for (uint32_t i = 0; i < n; ++i) {
-        StreamingSession &s = *ordered[i];
+
+    // Argmax of the current state, then advance with the forced
+    // token when provided.
+    Matrix x(static_cast<uint32_t>(sessions.size()), d);
+    std::vector<Model::Member> members;
+    for (uint32_t i = 0; i < sessions.size(); ++i) {
+        StreamingSession &s = *sessions[i];
         const float *row = logits.row(i);
         const uint32_t best = static_cast<uint32_t>(
             std::max_element(row, row + vocab) - row);
         s.generatedTokens.push_back(best);
         s.logitsPerStep.emplace_back(row, row + vocab);
-        uint32_t next = best;
-        if (s.forcedPos < s.forced.size())
-            next = s.forced[s.forcedPos++];
-        const Matrix embed = s.llm.embedTokens({next});
-        std::copy_n(embed.row(0), d, x.row(i));
+        const uint32_t next =
+            s.forcedPos < s.forced.size() ? s.forced[s.forcedPos++] : best;
+        std::copy_n(s.llm.embedTokens({next}).row(0), d, x.row(i));
+        members.push_back({&s.llm, 1, -1, TokenStage::GeneratedText});
     }
 
-    std::vector<BlockStats> stats = Model::forwardBlockBatched(
-        models, std::move(x), -1, TokenStage::GeneratedText);
-    for (uint32_t i = 0; i < n; ++i)
-        ordered[i]->accumulate(stats[i]);
+    const std::vector<BlockStats> stats =
+        Model::forward(members, std::move(x));
+    for (uint32_t i = 0; i < sessions.size(); ++i)
+        sessions[i]->accumulate(stats[i]);
 }
 
 void
@@ -267,7 +235,7 @@ StreamingSession::serialize() const
     w.put<int32_t>(frameId);
     w.put<uint32_t>(questionNo);
 
-    // Model mutable state (KV cache, last hidden, history).
+    // Model mutable state (KV cache, last hidden).
     llm.serializeState(w);
 
     // Retrieval-policy state (the full decorator stack forwards).

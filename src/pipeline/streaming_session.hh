@@ -83,25 +83,24 @@ class StreamingSession
     void feedQuestion(uint32_t tokens);
 
     /** Run @p tokens greedy generation steps (teacher-forced when
-     *  begin() received forced tokens). */
+     *  begin() received forced tokens): generateStep({this}) each. */
     void generate(uint32_t tokens);
 
     /**
-     * Run ONE fused generation step across N independent sessions
-     * sharing one model geometry (the serve layer's cross-session
-     * batched dispatch). Logits and the block forward are computed
-     * in one fused pass (weight streams shared between sessions with
-     * equal seeds); argmax, token/logits recording, teacher forcing
-     * and accumulators advance per session.
+     * Run ONE generation step for each of N distinct, begun sessions
+     * of one geometry: one logits pass and one ragged forward
+     * (Model::forward) with a one-row member per session. Argmax,
+     * token/logits recording, teacher forcing and accumulators
+     * advance per session, in session order.
      *
      * Contract: each session's state and results after this call are
-     * byte-identical to that session running generate(1) alone — all
+     * byte-identical to that session running generate(1) alone — the
      * fused arithmetic is row-independent, so members cannot affect
-     * each other's bytes. Sessions must be distinct, begun, and of
-     * one geometry.
+     * each other's bytes. The serve layer's batched dispatch runs
+     * its fused steps through here.
      */
     static void
-    generateStepBatched(const std::vector<StreamingSession *> &sessions);
+    generateStep(const std::vector<StreamingSession *> &sessions);
 
     /** Apply one scripted event via the verbs above. */
     void apply(const SessionEvent &event);
@@ -137,7 +136,7 @@ class StreamingSession
     const Model &model() const { return llm; }
 
     /** Version of the serialize() blob layout. */
-    static constexpr uint32_t kBlobVersion = 1;
+    static constexpr uint32_t kBlobVersion = 2;
 
     /**
      * Serialize the complete session state into a versioned,

@@ -18,9 +18,9 @@
  * Determinism: the planner never inspects clocks, RNGs or session
  * contents — eligibility is a pure function of the queued event, so
  * whether steps coalesce depends only on what is ready at dispatch
- * time, and per-session results never depend on it at all (the fused
- * execution path is bit-identical per session; see
- * pipeline/streaming_session.hh).
+ * time, and per-session results never depend on it at all (a fused
+ * step runs the same ragged forward as a solo step, with more
+ * members; see Model::forward in llm/model.hh).
  */
 
 #ifndef VREX_SERVE_BATCH_PLANNER_HH

@@ -91,7 +91,7 @@ Engine::runBatch(const std::vector<SessionId> &ids)
             wakeSession(id, *s);
         execs.push_back(s->exec.get());
     }
-    StreamingSession::generateStepBatched(execs);
+    StreamingSession::generateStep(execs);
     if (budget.enabled()) {
         for (size_t i = 0; i < ids.size(); ++i)
             budget.onExecuted(

@@ -149,14 +149,14 @@ struct EngineConfig
     /** KV working-set budget + hibernation knobs. Default (budget 0)
      *  disables hibernation entirely. */
     KvBudgetConfig kvBudget;
-    /** Cross-session batched generation (PR 10): when enabled, a
-     *  dispatch round whose next item is a single-token Generate step
+    /** Cross-session batched generation: when enabled, a dispatch
+     *  round whose next item is a single-token Generate step
      *  coalesces with other sessions' ready Generate steps into one
-     *  fused forward pass (StreamingSession::generateStepBatched) —
-     *  every session shares one weight stream per fused step. All
-     *  sessions share the engine's ModelConfig, so geometry always
-     *  matches; sessions with equal master seeds additionally share
-     *  weight *values* and run under grouped matmuls. Per-session
+     *  ragged forward pass (StreamingSession::generateStep with one
+     *  member per session). All sessions share the engine's
+     *  ModelConfig, so geometry always matches; contiguous members
+     *  with equal master seeds share weight *values* and one weight
+     *  stream in the grouped matmul. Per-session
      *  results are byte-identical to solo execution whether or not
      *  steps coalesce; with the default (disabled) the dispatch path
      *  is byte-identical to the pre-batching engine. Stats::batch

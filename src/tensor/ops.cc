@@ -9,39 +9,6 @@ namespace vrex
 {
 
 void
-matmul(const Matrix &a, const Matrix &b, Matrix &out)
-{
-    VREX_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
-    out = Matrix(a.rows(), b.cols());
-    const uint32_t m = a.rows(), k = a.cols(), n = b.cols();
-    for (uint32_t i = 0; i < m; ++i) {
-        const float *arow = a.row(i);
-        float *orow = out.row(i);
-        for (uint32_t p = 0; p < k; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f)
-                continue;
-            const float *brow = b.row(p);
-            for (uint32_t j = 0; j < n; ++j)
-                orow[j] += av * brow[j];
-        }
-    }
-}
-
-void
-matmulTransposed(const Matrix &a, const Matrix &bT, Matrix &out)
-{
-    VREX_ASSERT(a.cols() == bT.cols(), "matmulT shape mismatch");
-    out = Matrix(a.rows(), bT.rows());
-    for (uint32_t i = 0; i < a.rows(); ++i) {
-        const float *arow = a.row(i);
-        float *orow = out.row(i);
-        for (uint32_t j = 0; j < bT.rows(); ++j)
-            orow[j] = dot(arow, bT.row(j), a.cols());
-    }
-}
-
-void
 matmulTransposedGrouped(const Matrix &a,
                         const std::vector<RowGroup> &groups,
                         Matrix &out)
@@ -60,9 +27,8 @@ matmulTransposedGrouped(const Matrix &a,
                         g.rowEnd <= a.rows(),
                     "grouped matmulT groups must tile the rows");
         next_row = g.rowEnd;
-        // Weight row outer / batch row inner: one streamed weight row
-        // serves the whole group. Each element is still one dot(), so
-        // every output row is bit-identical to matmulTransposed().
+        // Weight row outer, batch row inner: one streamed weight row
+        // serves every row of the group.
         for (uint32_t j = 0; j < g.bT->rows(); ++j) {
             const float *brow = g.bT->row(j);
             for (uint32_t i = g.rowBegin; i < g.rowEnd; ++i)
@@ -71,6 +37,12 @@ matmulTransposedGrouped(const Matrix &a,
     }
     VREX_ASSERT(next_row == a.rows(),
                 "grouped matmulT groups must cover every row");
+}
+
+void
+matmulTransposed(const Matrix &a, const Matrix &bT, Matrix &out)
+{
+    matmulTransposedGrouped(a, {{0, a.rows(), &bT}}, out);
 }
 
 void

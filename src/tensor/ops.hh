@@ -16,12 +16,6 @@
 namespace vrex
 {
 
-/** out = a (m×k) * b (k×n). Shapes are checked. */
-void matmul(const Matrix &a, const Matrix &b, Matrix &out);
-
-/** out = a (m×k) * b^T (n×k). */
-void matmulTransposed(const Matrix &a, const Matrix &bT, Matrix &out);
-
 /**
  * One contiguous run of `a` rows sharing a weight matrix in
  * matmulTransposedGrouped(): rows [rowBegin, rowEnd) multiply
@@ -37,16 +31,17 @@ struct RowGroup
 /**
  * Row-grouped out = a * b^T: every group's rows multiply against
  * that group's weight matrix (all groups must agree on bT shape).
- * Each output element is the same single dot() call
- * matmulTransposed() would make, so per-row results are
- * bit-identical to per-group matmulTransposed() calls — the loop is
- * merely reordered (weight row outer, batch row inner) so one
- * streamed weight row serves every row of the group. This is the
- * fused kernel under cross-session batched generation.
+ * Each output element is one dot() of an `a` row and a weight row;
+ * the loop runs weight row outer, batch row inner, so one streamed
+ * weight row serves every row of its group. This is the one dense
+ * kernel under both block prefill and cross-session generation.
  */
 void matmulTransposedGrouped(const Matrix &a,
                              const std::vector<RowGroup> &groups,
                              Matrix &out);
+
+/** out = a (m×k) * b^T (n×k): the one-group matmulTransposedGrouped(). */
+void matmulTransposed(const Matrix &a, const Matrix &bT, Matrix &out);
 
 /** Row-wise in-place softmax (same contract as softmax()). */
 void softmaxRows(Matrix &m);

@@ -21,12 +21,12 @@ namespace
 {
 
 /** Prefill a few synthetic similar frames through the model. */
-void
+std::vector<BlockStats>
 streamFrames(Model &model, uint32_t frames, uint32_t tokens_per_frame,
              uint64_t seed)
 {
-    testutil::streamCorrelatedFrames(model, frames, tokens_per_frame,
-                                     seed);
+    return testutil::streamCorrelatedFrames(model, frames,
+                                            tokens_per_frame, seed);
 }
 
 } // namespace
@@ -38,10 +38,8 @@ TEST(ResvPolicy, SelectionIndicesAreValidAndSorted)
     ResvPolicy policy(cfg, rc);
     Model model(cfg, 42);
     model.setPolicy(&policy);
-    streamFrames(model, 5, 4, 1);
-
-    // Inspect the last block's recorded stats.
-    const BlockStats &stats = model.history().back();
+    // Inspect the last block's stats.
+    const BlockStats stats = streamFrames(model, 5, 4, 1).back();
     EXPECT_EQ(stats.pastLen, 16u);
     for (const auto &per_head : stats.selectedPerHead)
         for (uint32_t count : per_head)
@@ -55,8 +53,7 @@ TEST(ResvPolicy, FullSelectionOnEmptyPast)
     ResvPolicy policy(cfg, rc);
     Model model(cfg, 42);
     model.setPolicy(&policy);
-    streamFrames(model, 1, 4, 2);
-    EXPECT_DOUBLE_EQ(model.history()[0].layerRatios[0], 1.0);
+    EXPECT_DOUBLE_EQ(streamFrames(model, 1, 4, 2)[0].layerRatios[0], 1.0);
 }
 
 TEST(ResvPolicy, ClustersFormAcrossSimilarFrames)
@@ -88,7 +85,7 @@ TEST(ResvPolicy, CountersAccumulateByStage)
     EXPECT_EQ(policy.textCounters().selectCalls, 0u);
 
     model.prefillText({1, 2, 3});
-    model.generate(2);
+    testutil::greedyDecode(model, 2);
     EXPECT_GT(policy.textCounters().selectCalls, 0u);
     EXPECT_GT(policy.textCounters().tokensSelected, 0u);
 }
@@ -135,9 +132,7 @@ TEST(ResvPolicy, SelectionVariesAcrossLayersAndHeads)
     Model model(cfg, 42);
     model.setPolicy(&policy);
     streamFrames(model, 10, 4, 7);
-    model.prefillText({5, 6, 7});
-
-    const BlockStats &stats = model.history().back();
+    const BlockStats stats = model.prefillText({5, 6, 7});
     std::set<uint32_t> distinct;
     for (const auto &per_head : stats.selectedPerHead)
         for (uint32_t c : per_head)
@@ -223,7 +218,7 @@ TEST(ResvPolicy, GenerationSelectsFewerThanPrefill)
     model.setPolicy(&policy);
     streamFrames(model, 10, 4, 12);
     model.prefillText({1, 2, 3, 4, 5});
-    model.generate(5);
+    testutil::greedyDecode(model, 5);
     EXPECT_LT(policy.textCounters().selectedRatio(),
               policy.frameCounters().selectedRatio() + 0.1);
 }

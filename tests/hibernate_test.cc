@@ -299,13 +299,18 @@ TEST(SessionSerialize, RejectsCorruptionTruncationAndVersionSkew)
             << "kept " << keep << " bytes";
     }
 
-    // Version skew: bump the version field, re-seal the checksum —
-    // the reader must refuse on version, not checksum.
-    std::vector<uint8_t> skewed = blob;
-    const uint32_t next = StreamingSession::kBlobVersion + 1;
-    std::memcpy(skewed.data() + sizeof(uint32_t), &next, sizeof(next));
-    resealBlob(skewed);
-    EXPECT_THROW(s2.restore(skewed), serial::SerialError);
+    // Version skew either way (an older layout or a newer one):
+    // rewrite the version field, re-seal the checksum — the reader
+    // must refuse on version, not checksum.
+    for (uint32_t version : {StreamingSession::kBlobVersion - 1,
+                             StreamingSession::kBlobVersion + 1}) {
+        std::vector<uint8_t> skewed = blob;
+        std::memcpy(skewed.data() + sizeof(uint32_t), &version,
+                    sizeof(version));
+        resealBlob(skewed);
+        EXPECT_THROW(s2.restore(skewed), serial::SerialError)
+            << "version " << version;
+    }
 
     // The unmodified blob still restores fine afterwards.
     EXPECT_NO_THROW(s2.restore(blob));
@@ -527,9 +532,10 @@ TEST(EngineHibernate, ResultsMatchSequentialUnderTinyBudget)
         const serve::KvBudgetStats kv = engine.stats().kv;
         EXPECT_GT(kv.hibernates, 0u);
         EXPECT_EQ(kv.hibernates, kv.hibernateLatency.samples());
-        // After the final sweep at most the sweeping session itself
-        // is resident.
-        EXPECT_LE(kv.residentSessions, 1u);
+        // enforceBudget() runs inside a live slice and tryPinIdle()
+        // skips busy peers, so when W workers finish together each
+        // may leave its own session resident: at most one per worker.
+        EXPECT_LE(kv.residentSessions, shape.workers);
 
         // Despite the churn, every session is byte-identical to its
         // sequential ground truth (result() wakes hibernated ones).

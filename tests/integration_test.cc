@@ -209,7 +209,7 @@ TEST(Integration, AttentionMatchesNaiveReference)
     Matrix q = testutil::randomMatrix(rng, 3, cfg.nHeads * cfg.headDim());
 
     Matrix fast, slow;
-    attentionForward(cfg, q, kv.layer(0), 6, nullptr, fast);
+    attentionForward(cfg, q, {{&kv.layer(0), 6, nullptr, 3}}, fast);
     naiveAttention(cfg, q, kv.layer(0), 6, slow);
     ASSERT_TRUE(fast.sameShape(slow));
     for (uint32_t i = 0; i < fast.size(); ++i)
@@ -226,12 +226,16 @@ TEST(Integration, MultiTurnRetrievalKeepsEarlyContextAvailable)
     rc.thrWics = 0.9f;  // Select generously for this check.
     ResvPolicy policy(cfg, rc);
     StreamingSession session(cfg, &policy, 42);
-    session.run(multiTurnScript(9));
+    const SessionScript script = multiTurnScript(9);
+    session.run(script);
 
-    const auto &history = session.model().history();
-    const BlockStats &last = history.back();
-    EXPECT_GT(last.pastLen, 0u);
-    // Early-context availability is structural: nothing was evicted.
-    EXPECT_EQ(session.model().cache().tokenCount(),
-              last.pastLen + last.blockLen);
+    // Early-context availability is structural: nothing was evicted,
+    // so the cache still holds every fed token, frame 0's first.
+    uint32_t fed = 0;
+    for (const SessionEvent &e : script.events)
+        fed += e.type == SessionEvent::Type::Frame
+                   ? script.video.tokensPerFrame
+                   : e.tokens;
+    EXPECT_EQ(session.model().cache().tokenCount(), fed);
+    EXPECT_EQ(session.model().cache().tokenMeta(0).frameId, 0);
 }

@@ -52,11 +52,10 @@ TEST_P(GqaGeometry, ModelRunsAndSelectsAll)
     Matrix frame(3, cfg.dModel);
     rng.fillGaussian(frame.raw(), frame.size(), 1.0f);
     model.prefillFrame(frame, 0);
-    model.prefillFrame(frame, 1);
+    const BlockStats stats = model.prefillFrame(frame, 1);
     EXPECT_EQ(model.cache().tokenCount(), 6u);
-    auto ids = model.generate(2);
+    auto ids = testutil::greedyDecode(model, 2);
     EXPECT_EQ(ids.size(), 2u);
-    const BlockStats &stats = model.history()[1];
     EXPECT_EQ(stats.selectedPerHead[0].size(), kv_heads);
 }
 
@@ -78,8 +77,9 @@ TEST_P(GqaGeometry, SparseFullSelectionMatchesDense)
             h.indices.push_back(t);
     }
     Matrix dense, sparse;
-    attentionForward(cfg, q, kv.layer(0), 3, nullptr, dense);
-    attentionForward(cfg, q, kv.layer(0), 3, &all_explicit, sparse);
+    attentionForward(cfg, q, {{&kv.layer(0), 3, nullptr, 2}}, dense);
+    attentionForward(cfg, q, {{&kv.layer(0), 3, &all_explicit, 2}},
+                     sparse);
     for (uint32_t i = 0; i < dense.size(); ++i)
         EXPECT_NEAR(dense.raw()[i], sparse.raw()[i], 1e-4f);
 }

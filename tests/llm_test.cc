@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "common/rng.hh"
 #include "llm/attention.hh"
@@ -114,8 +116,8 @@ TEST(Attention, SelectAllMatchesNullSelection)
 
     Matrix out1, out2;
     LayerSelection all = LayerSelection::full(cfg.nKvHeads);
-    attentionForward(cfg, q, kv.layer(0), 4, nullptr, out1);
-    attentionForward(cfg, q, kv.layer(0), 4, &all, out2);
+    attentionForward(cfg, q, {{&kv.layer(0), 4, nullptr, 2}}, out1);
+    attentionForward(cfg, q, {{&kv.layer(0), 4, &all, 2}}, out2);
     for (uint32_t i = 0; i < out1.size(); ++i)
         EXPECT_FLOAT_EQ(out1.raw()[i], out2.raw()[i]);
 }
@@ -138,8 +140,8 @@ TEST(Attention, ExplicitFullIndicesMatchSelectAll)
             h.indices.push_back(i);
     }
     Matrix out1, out2;
-    attentionForward(cfg, q, kv.layer(0), 6, nullptr, out1);
-    attentionForward(cfg, q, kv.layer(0), 6, &explicit_sel, out2);
+    attentionForward(cfg, q, {{&kv.layer(0), 6, nullptr, 1}}, out1);
+    attentionForward(cfg, q, {{&kv.layer(0), 6, &explicit_sel, 1}}, out2);
     for (uint32_t i = 0; i < out1.size(); ++i)
         EXPECT_NEAR(out1.raw()[i], out2.raw()[i], 1e-5f);
 }
@@ -160,7 +162,7 @@ TEST(Attention, EmptySelectionAttendsOnlyBlock)
         h.selectAll = false;
 
     Matrix out;
-    attentionForward(cfg, q, kv.layer(0), 4, &none, out);
+    attentionForward(cfg, q, {{&kv.layer(0), 4, &none, 1}}, out);
     // The single block token attends only itself: output head h
     // equals V row 4 for that head.
     for (uint32_t h = 0; h < cfg.nHeads; ++h) {
@@ -179,7 +181,7 @@ TEST(Attention, ZeroLengthQueryBlockYieldsEmptyOutput)
     KVCache kv(cfg); // Empty: T == 0 must not read the cache.
     Matrix q(0, cfg.nHeads * cfg.headDim());
     Matrix out(3, 3); // Stale shape, must be replaced.
-    attentionForward(cfg, q, kv.layer(0), 0, nullptr, out);
+    attentionForward(cfg, q, {{&kv.layer(0), 0, nullptr, 0}}, out);
     EXPECT_EQ(out.rows(), 0u);
     EXPECT_EQ(out.cols(), cfg.dModel);
 }
@@ -195,12 +197,22 @@ TEST(AttentionDeathTest, RejectsCacheMissingTheBlock)
     Matrix out;
     // The cache holds 5 rows; past_len 5 + block 1 claims 6.
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 5, nullptr, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 5, nullptr, 1}}, out),
         "block appended to the cache");
     // And past_len 2 + block 1 leaves 2 unexplained trailing rows.
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 2, nullptr, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 2, nullptr, 1}}, out),
         "block appended to the cache");
+    // A bad member is caught behind a good (empty) one, and member
+    // rows must tile q exactly.
+    EXPECT_DEATH(attentionForward(cfg, q,
+                                  {{nullptr, 0, nullptr, 0},
+                                   {&kv.layer(0), 5, nullptr, 1}},
+                                  out),
+                 "block appended to the cache");
+    EXPECT_DEATH(
+        attentionForward(cfg, q, {{&kv.layer(0), 3, nullptr, 2}}, out),
+        "rows must tile the members");
 }
 
 TEST(AttentionDeathTest, RejectsMalformedSelection)
@@ -216,7 +228,7 @@ TEST(AttentionDeathTest, RejectsMalformedSelection)
     LayerSelection wrong_heads;
     wrong_heads.kvHeads.resize(cfg.nKvHeads + 1);
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 0, &wrong_heads, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 0, &wrong_heads, 1}}, out),
         "wrong head count");
 
     // past_len == 0: only selectAll or an empty index list is legal.
@@ -227,7 +239,7 @@ TEST(AttentionDeathTest, RejectsMalformedSelection)
         h.indices = {0};
     }
     EXPECT_DEATH(
-        attentionForward(cfg, q, kv.layer(0), 0, &stale, out),
+        attentionForward(cfg, q, {{&kv.layer(0), 0, &stale, 1}}, out),
         "beyond the past");
 }
 
@@ -235,11 +247,11 @@ TEST(Attention, BatchedStepMatchesSoloBitExact)
 {
     ModelConfig cfg = ModelConfig::tiny();
     Rng rng(22);
-    // Three sessions with distinct cache depths and selections.
+    // Three ragged members with distinct cache depths and selections.
     KVCache kv_a(cfg), kv_b(cfg), kv_c(cfg);
     fillLayer(kv_a, cfg, 6, rng);
     fillLayer(kv_b, cfg, 10, rng);
-    fillLayer(kv_c, cfg, 1, rng); // A freshly started session.
+    fillLayer(kv_c, cfg, 3, rng); // A freshly started session.
 
     LayerSelection partial;
     partial.kvHeads.resize(cfg.nKvHeads);
@@ -249,29 +261,30 @@ TEST(Attention, BatchedStepMatchesSoloBitExact)
     }
     LayerSelection all = LayerSelection::full(cfg.nKvHeads);
 
-    Matrix q(3, cfg.nHeads * cfg.headDim());
+    Matrix q(6, cfg.nHeads * cfg.headDim());
     rng.fillGaussian(q.raw(), q.size(), 1.0f);
 
-    std::vector<AttentionBatchItem> items = {
-        {&kv_a.layer(0), 5, nullptr},
-        {&kv_b.layer(0), 9, &partial},
-        {&kv_c.layer(0), 0, &all},
+    const std::vector<AttentionMember> members = {
+        {&kv_a.layer(0), 4, nullptr, 2},
+        {&kv_b.layer(0), 9, &partial, 1},
+        {&kv_c.layer(0), 0, &all, 3},
     };
     Matrix fused;
-    attentionForwardBatched(cfg, q, items, fused);
-    ASSERT_EQ(fused.rows(), 3u);
+    attentionForward(cfg, q, members, fused);
+    ASSERT_EQ(fused.rows(), 6u);
     ASSERT_EQ(fused.cols(), cfg.dModel);
 
-    for (uint32_t i = 0; i < 3; ++i) {
-        Matrix qi(1, q.cols());
-        for (uint32_t c = 0; c < q.cols(); ++c)
-            qi.at(0, c) = q.at(i, c);
+    uint32_t row = 0;
+    for (uint32_t i = 0; i < members.size(); ++i) {
+        Matrix qi(members[i].rows, q.cols());
+        for (uint32_t t = 0; t < qi.rows(); ++t)
+            std::copy_n(q.row(row + t), q.cols(), qi.row(t));
         Matrix solo;
-        attentionForward(cfg, qi, *items[i].kv, items[i].pastLen,
-                         items[i].sel, solo);
-        for (uint32_t c = 0; c < cfg.dModel; ++c)
-            EXPECT_EQ(fused.at(i, c), solo.at(0, c))
-                << "session " << i << " col " << c;
+        attentionForward(cfg, qi, {members[i]}, solo);
+        for (uint32_t t = 0; t < qi.rows(); ++t, ++row)
+            for (uint32_t c = 0; c < cfg.dModel; ++c)
+                EXPECT_EQ(fused.at(row, c), solo.at(t, c))
+                    << "member " << i << " row " << t << " col " << c;
     }
 }
 
@@ -303,7 +316,7 @@ TEST(Model, IterativePrefillGrowsCache)
     model.prefillText({1, 2, 3});
     EXPECT_EQ(model.cache().tokenCount(), 9u);
 
-    auto ids = model.generate(4);
+    auto ids = testutil::greedyDecode(model, 4);
     EXPECT_EQ(ids.size(), 4u);
     EXPECT_EQ(model.cache().tokenCount(), 13u);
     for (uint32_t id : ids)
@@ -321,26 +334,26 @@ TEST(Model, DeterministicAcrossInstances)
     m2.prefillFrame(frame, 0);
     m1.prefillText({7});
     m2.prefillText({7});
-    auto a = m1.generate(3);
-    auto b = m2.generate(3);
+    auto a = testutil::greedyDecode(m1, 3);
+    auto b = testutil::greedyDecode(m2, 3);
     EXPECT_EQ(a, b);
 }
 
-TEST(Model, HistoryRecordsStats)
+TEST(Model, PrefillReturnsBlockStats)
 {
     ModelConfig cfg = ModelConfig::tiny();
     Model model(cfg, 42);
     Rng rng(6);
     Matrix frame(2, cfg.dModel);
     rng.fillGaussian(frame.raw(), frame.size(), 1.0f);
-    model.prefillFrame(frame, 0);
-    model.prefillFrame(frame, 1);
-    ASSERT_EQ(model.history().size(), 2u);
-    EXPECT_EQ(model.history()[0].pastLen, 0u);
-    EXPECT_EQ(model.history()[1].pastLen, 2u);
-    EXPECT_EQ(model.history()[1].layerRatios.size(), cfg.nLayers);
-    model.clearHistory();
-    EXPECT_TRUE(model.history().empty());
+    const BlockStats first = model.prefillFrame(frame, 0);
+    const BlockStats second = model.prefillFrame(frame, 1);
+    EXPECT_EQ(first.pastLen, 0u);
+    EXPECT_EQ(second.pastLen, 2u);
+    EXPECT_EQ(second.blockLen, 2u);
+    EXPECT_EQ(second.stage, TokenStage::VideoFrame);
+    EXPECT_EQ(second.layerRatios.size(), cfg.nLayers);
+    EXPECT_EQ(second.selectedPerHead.size(), cfg.nLayers);
 }
 
 TEST(Model, ResetSessionClearsState)
@@ -353,7 +366,7 @@ TEST(Model, ResetSessionClearsState)
     model.prefillFrame(frame, 0);
     model.resetSession();
     EXPECT_EQ(model.cache().tokenCount(), 0u);
-    EXPECT_TRUE(model.history().empty());
+    EXPECT_EQ(model.lastHidden(), std::vector<float>(cfg.dModel, 0.0f));
 }
 
 TEST(Model, LogitsMatchVocab)
@@ -366,4 +379,80 @@ TEST(Model, LogitsMatchVocab)
     model.prefillFrame(frame, 0);
     auto logits = model.lastLogits();
     EXPECT_EQ(logits.size(), cfg.vocabSize);
+}
+
+TEST(Model, RaggedForwardMatchesSoloBitExact)
+{
+    // Three ragged members (T = 3, 1, 5) over two weight seeds, one
+    // without a policy, plus an empty member: each must end exactly
+    // where a forward of that member alone ends.
+    ModelConfig cfg = ModelConfig::tiny();
+    Rng rng(23);
+    const uint32_t rows[] = {3, 1, 5, 0};
+    const uint64_t seeds[] = {42, 42, 7, 7};
+    Matrix x(9, cfg.dModel);
+    rng.fillGaussian(x.raw(), x.size(), 1.0f);
+
+    struct Side
+    {
+        std::vector<std::unique_ptr<SelectionPolicy>> policies;
+        std::vector<std::unique_ptr<Model>> models;
+    };
+    auto build = [&](Side &side) {
+        side.policies.push_back(
+            std::make_unique<ResvPolicy>(cfg, ResvConfig{}));
+        InfiniGenConfig ic;
+        ic.prefill = true;
+        side.policies.push_back(
+            std::make_unique<InfiniGenPolicy>(cfg, ic));
+        side.policies.push_back(nullptr);
+        side.policies.push_back(nullptr);
+        for (uint32_t i = 0; i < 4; ++i) {
+            side.models.push_back(std::make_unique<Model>(cfg, seeds[i]));
+            side.models[i]->setPolicy(side.policies[i].get());
+            // Distinct context depths per member.
+            testutil::streamRandomFrames(*side.models[i], i + 1, 4, 100 + i);
+        }
+    };
+    Side batched, solo;
+    build(batched);
+    build(solo);
+
+    std::vector<Model::Member> members;
+    for (uint32_t i = 0; i < 4; ++i)
+        members.push_back({batched.models[i].get(), rows[i], 9,
+                           TokenStage::VideoFrame});
+    const std::vector<float> empty_hidden = batched.models[3]->lastHidden();
+    const std::vector<BlockStats> stats = Model::forward(members, x);
+    ASSERT_EQ(stats.size(), 4u);
+
+    // The empty member appends nothing and keeps its hidden state.
+    EXPECT_EQ(stats[3].pastLen, 16u);
+    EXPECT_TRUE(stats[3].layerRatios.empty());
+    EXPECT_EQ(batched.models[3]->cache().tokenCount(), 16u);
+    EXPECT_EQ(batched.models[3]->lastHidden(), empty_hidden);
+
+    uint32_t row = 0;
+    for (uint32_t i = 0; i < 4; ++i) {
+        Matrix xi(rows[i], cfg.dModel);
+        std::copy_n(x.row(row), size_t(rows[i]) * cfg.dModel, xi.raw());
+        row += rows[i];
+        const BlockStats ref =
+            solo.models[i]->forwardBlock(xi, 9, TokenStage::VideoFrame);
+        const Model &a = *batched.models[i], &b = *solo.models[i];
+        EXPECT_EQ(stats[i].pastLen, ref.pastLen) << "member " << i;
+        EXPECT_EQ(stats[i].blockLen, rows[i]);
+        EXPECT_EQ(stats[i].layerRatios, ref.layerRatios);
+        EXPECT_EQ(stats[i].selectedPerHead, ref.selectedPerHead);
+        EXPECT_EQ(a.lastHidden(), b.lastHidden()) << "member " << i;
+        ASSERT_EQ(a.cache().tokenCount(), b.cache().tokenCount());
+        for (uint32_t l = 0; l < cfg.nLayers; ++l) {
+            const LayerKV &ka = a.cache().layer(l), &kb = b.cache().layer(l);
+            ASSERT_TRUE(ka.keys.sameShape(kb.keys));
+            EXPECT_EQ(0, std::memcmp(ka.keys.raw(), kb.keys.raw(),
+                                     ka.keys.size() * sizeof(float)));
+            EXPECT_EQ(0, std::memcmp(ka.values.raw(), kb.values.raw(),
+                                     ka.values.size() * sizeof(float)));
+        }
+    }
 }

@@ -108,6 +108,43 @@ TEST(StreamingSession, UnitEventReplayIsByteIdentical)
     EXPECT_EQ(r_whole.layerHeadRatio, r_unit.layerHeadRatio);
 }
 
+TEST(StreamingSession, EmptyQuestionIsANoOp)
+{
+    // A zero-token question forwards a zero-row block: it appends no
+    // tokens, calls no policy and moves no accumulator, so the
+    // session continues exactly like one that never asked it.
+    ModelConfig cfg = ModelConfig::tiny();
+    ResvConfig rc;
+    SessionScript script = shortScript(8);
+    ResvPolicy plain_policy(cfg, rc), empty_policy(cfg, rc);
+    StreamingSession plain(cfg, &plain_policy, 42);
+    StreamingSession empty(cfg, &empty_policy, 42);
+    plain.begin(script.name, script.video, script.seed);
+    empty.begin(script.name, script.video, script.seed);
+    for (int f = 0; f < 4; ++f) {
+        plain.feedFrame();
+        empty.feedFrame();
+        if (f == 1)
+            empty.feedQuestion(0);
+    }
+    const SessionRunResult before = plain.snapshot();
+    const SessionRunResult after = empty.snapshot();
+    EXPECT_EQ(before.totalTokens, after.totalTokens);
+    EXPECT_DOUBLE_EQ(before.frameRatio, after.frameRatio);
+    EXPECT_DOUBLE_EQ(before.textRatio, after.textRatio);
+    EXPECT_EQ(before.layerHeadRatio, after.layerHeadRatio);
+
+    plain.generate(4);
+    empty.generate(4);
+    const SessionRunResult a = plain.snapshot(), b = empty.snapshot();
+    EXPECT_EQ(a.generated.size(), 4u);
+    EXPECT_EQ(a.generated, b.generated);
+    EXPECT_EQ(a.stepLogits, b.stepLogits);
+    EXPECT_EQ(a.totalTokens, b.totalTokens);
+    EXPECT_DOUBLE_EQ(a.textRatio, b.textRatio);
+    EXPECT_EQ(a.layerHeadRatio, b.layerHeadRatio);
+}
+
 TEST(AccuracyEval, FullAttentionPerfectAgreement)
 {
     ModelConfig cfg = ModelConfig::tiny();

@@ -19,12 +19,12 @@ using namespace vrex;
 namespace
 {
 
-void
+std::vector<BlockStats>
 streamFrames(Model &model, uint32_t frames, uint32_t tokens_per_frame,
              uint64_t seed)
 {
-    testutil::streamRandomFrames(model, frames, tokens_per_frame,
-                                 seed);
+    return testutil::streamRandomFrames(model, frames, tokens_per_frame,
+                                        seed);
 }
 
 } // namespace
@@ -35,8 +35,7 @@ TEST(FlexGen, AlwaysSelectsAll)
     FlexGenPolicy policy;
     Model model(cfg, 42);
     model.setPolicy(&policy);
-    streamFrames(model, 3, 4, 1);
-    for (const auto &stats : model.history())
+    for (const auto &stats : streamFrames(model, 3, 4, 1))
         for (double r : stats.layerRatios)
             EXPECT_DOUBLE_EQ(r, 1.0);
     EXPECT_DOUBLE_EQ(policy.frameCounters().selectedRatio(), 1.0);
@@ -50,9 +49,8 @@ TEST(InfiniGen, NoSelectionDuringPrefill)
     InfiniGenPolicy policy(cfg, ic);
     Model model(cfg, 42);
     model.setPolicy(&policy);
-    streamFrames(model, 4, 4, 2);
     // Prefill stage: full attention (ratio 1).
-    for (const auto &stats : model.history()) {
+    for (const auto &stats : streamFrames(model, 4, 4, 2)) {
         if (stats.pastLen > 0) {
             EXPECT_DOUBLE_EQ(stats.meanRatio(), 1.0);
         }
@@ -69,7 +67,7 @@ TEST(InfiniGen, SelectsDuringGeneration)
     model.setPolicy(&policy);
     streamFrames(model, 6, 4, 3);
     model.prefillText({1, 2});
-    model.generate(3);
+    testutil::greedyDecode(model, 3);
     double gen_ratio = policy.textCounters().selectedRatio();
     EXPECT_LT(gen_ratio, 0.5);
     EXPECT_GT(gen_ratio, 0.0);
@@ -84,9 +82,8 @@ TEST(InfiniGenP, FixedRatioDuringPrefill)
     InfiniGenPolicy policy(cfg, ic);
     Model model(cfg, 42);
     model.setPolicy(&policy);
-    streamFrames(model, 6, 4, 4);
     // Fixed top-k: every layer/head selects exactly ratio * past.
-    const BlockStats &stats = model.history().back();
+    const BlockStats stats = streamFrames(model, 6, 4, 4).back();
     EXPECT_NEAR(stats.meanRatio(), 0.5, 0.05);
     // And it is UNIFORM across layers (the inflexibility ReSV fixes).
     for (double r : stats.layerRatios)
@@ -113,11 +110,9 @@ TEST(ReKV, SelectsWholeFrames)
     ReKVPolicy policy(cfg, rc);
     Model model(cfg, 42);
     model.setPolicy(&policy);
-    streamFrames(model, 6, 4, 6);
-
     // Frame-granular: per-head selected counts are multiples of the
     // frame size (4), since no text tokens exist yet.
-    const BlockStats &stats = model.history().back();
+    const BlockStats stats = streamFrames(model, 6, 4, 6).back();
     for (const auto &per_head : stats.selectedPerHead)
         for (uint32_t count : per_head)
             EXPECT_EQ(count % 4, 0u);
@@ -133,7 +128,7 @@ TEST(ReKV, KeepsTextTokens)
     model.setPolicy(&policy);
     streamFrames(model, 5, 4, 7);
     model.prefillText({1, 2, 3});
-    model.generate(1);
+    testutil::greedyDecode(model, 1);
     // Generation over cache containing text: ratio > 0.
     EXPECT_GT(policy.textCounters().selectedRatio(), 0.0);
 }

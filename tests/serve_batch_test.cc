@@ -399,7 +399,7 @@ TEST(BatchStep, GenerateStepBatchedMatchesSoloSessions)
     for (auto &s : fused)
         members.push_back(s.get());
     for (int step = 0; step < 3; ++step) {
-        StreamingSession::generateStepBatched(members);
+        StreamingSession::generateStep(members);
         for (auto &s : solo)
             s->apply({SessionEvent::Type::Generate, 1});
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Parameterized property tests for the tensor kernels: matmul shape
- * sweeps against a naive reference, RoPE round-trip/relative-position
- * properties across dimensions and positions, and softmax invariants.
+ * sweeps against naive and per-element dot() references, RoPE
+ * round-trip/relative-position properties across dimensions and
+ * positions, and softmax invariants.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +46,33 @@ naiveMatmul(const Matrix &a, const Matrix &b)
     return out;
 }
 
+/** b^T of @p b. */
+Matrix
+transposed(const Matrix &b)
+{
+    Matrix t(b.cols(), b.rows());
+    for (uint32_t r = 0; r < b.rows(); ++r)
+        for (uint32_t c = 0; c < b.cols(); ++c)
+            t.at(c, r) = b.at(r, c);
+    return t;
+}
+
+/** The grouped kernel's contract, element by element: out[i][j] is
+ *  one dot() of a's row i and row j of row i's group weights. */
+void
+expectEqualsDotReference(const Matrix &a,
+                         const std::vector<RowGroup> &groups,
+                         const Matrix &out)
+{
+    for (const RowGroup &g : groups) {
+        ASSERT_EQ(out.cols(), g.bT->rows());
+        for (uint32_t r = g.rowBegin; r < g.rowEnd; ++r)
+            for (uint32_t c = 0; c < g.bT->rows(); ++c)
+                EXPECT_EQ(out.at(r, c), dot(a.row(r), g.bT->row(c), a.cols()))
+                    << "row " << r << " col " << c;
+    }
+}
+
 } // namespace
 
 class MatmulShapes
@@ -58,7 +86,7 @@ TEST_P(MatmulShapes, MatchesNaiveReference)
     Matrix a = randomMatrix(m, k, 1000 + m);
     Matrix b = randomMatrix(k, n, 2000 + n);
     Matrix fast;
-    matmul(a, b, fast);
+    matmulTransposed(a, transposed(b), fast);
     Matrix slow = naiveMatmul(a, b);
     ASSERT_TRUE(fast.sameShape(slow));
     for (uint32_t i = 0; i < fast.size(); ++i)
@@ -68,19 +96,15 @@ TEST_P(MatmulShapes, MatchesNaiveReference)
 
 TEST_P(MatmulShapes, TransposedVariantAgrees)
 {
+    // Bit-exact against one dot() per output element.
     auto [m, k, n] = GetParam();
     Matrix a = randomMatrix(m, k, 3000 + m);
     Matrix bT = randomMatrix(n, k, 4000 + n);
-    Matrix b(k, n);
-    for (uint32_t r = 0; r < bT.rows(); ++r)
-        for (uint32_t c = 0; c < bT.cols(); ++c)
-            b.at(c, r) = bT.at(r, c);
-    Matrix viaT, direct;
-    matmulTransposed(a, bT, viaT);
-    matmul(a, b, direct);
-    for (uint32_t i = 0; i < viaT.size(); ++i)
-        EXPECT_NEAR(viaT.raw()[i], direct.raw()[i],
-                    1e-3f * (1.0f + std::abs(direct.raw()[i])));
+    Matrix out;
+    matmulTransposed(a, bT, out);
+    ASSERT_EQ(out.rows(), a.rows());
+    expectEqualsDotReference(
+        a, {{0, static_cast<uint32_t>(m), &bT}}, out);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -219,35 +243,24 @@ TEST(SoftmaxMasked, SoftmaxRowsHandlesMixedMaskedRows)
     EXPECT_FLOAT_EQ(m.at(1, 2), 0.0f);
 }
 
-// The fused batched-generation kernel: per output row, grouped
-// matmul must be BIT-identical to a per-group matmulTransposed —
-// same dot() per element, only the loop order differs.
+// The one dense kernel: every output element of the grouped matmul
+// is exactly one dot() of its row and its group's weight row — the
+// property that keeps a batched row independent of its peers.
 TEST(MatmulGrouped, BitIdenticalToPerGroupTransposed)
 {
     const uint32_t k = 24, n = 10;
     Matrix a = randomMatrix(7, k, 501);
     Matrix w0 = randomMatrix(n, k, 502);
     Matrix w1 = randomMatrix(n, k, 503);
-    // Three groups over two distinct weight matrices (a shared one
-    // reappearing, as equal-seed sessions produce).
+    // Four groups over two distinct weight matrices (a shared one
+    // reappearing, as equal-seed sessions produce), one empty.
     std::vector<RowGroup> groups = {
-        {0, 3, &w0}, {3, 4, &w1}, {4, 7, &w0}};
+        {0, 3, &w0}, {3, 4, &w1}, {4, 4, &w1}, {4, 7, &w0}};
     Matrix fused;
     matmulTransposedGrouped(a, groups, fused);
     ASSERT_EQ(fused.rows(), 7u);
     ASSERT_EQ(fused.cols(), n);
-    for (const RowGroup &g : groups) {
-        Matrix part(g.rowEnd - g.rowBegin, k);
-        for (uint32_t r = g.rowBegin; r < g.rowEnd; ++r)
-            for (uint32_t c = 0; c < k; ++c)
-                part.at(r - g.rowBegin, c) = a.at(r, c);
-        Matrix solo;
-        matmulTransposed(part, *g.bT, solo);
-        for (uint32_t r = 0; r < part.rows(); ++r)
-            for (uint32_t c = 0; c < n; ++c)
-                EXPECT_EQ(fused.at(g.rowBegin + r, c), solo.at(r, c))
-                    << "row " << g.rowBegin + r << " col " << c;
-    }
+    expectEqualsDotReference(a, groups, fused);
 }
 
 TEST(MatmulGrouped, SingleGroupMatchesMatmulTransposedExactly)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the tensor kernels: matmul, softmax, RMSNorm, SiLU,
- * RoPE, similarity and top-k.
+ * Unit tests for the tensor kernels: matmulTransposed, softmax,
+ * RMSNorm, SiLU, RoPE, similarity and top-k.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ TEST(Ops, MatmulIdentity)
     a.at(0, 0) = 1; a.at(0, 1) = 2;
     a.at(1, 0) = 3; a.at(1, 1) = 4;
     eye.at(0, 0) = 1; eye.at(1, 1) = 1;
-    matmul(a, eye, out);
+    matmulTransposed(a, eye, out);
     EXPECT_TRUE(out.sameShape(a));
     EXPECT_EQ(out.at(0, 1), 2.0f);
     EXPECT_EQ(out.at(1, 0), 3.0f);
@@ -57,20 +57,20 @@ TEST(Ops, MatmulIdentity)
 
 TEST(Ops, MatmulKnownValues)
 {
-    Matrix a(1, 3), b(3, 2), out;
+    Matrix a(1, 3), bT(2, 3), out;
     for (uint32_t i = 0; i < 3; ++i)
         a.at(0, i) = static_cast<float>(i + 1);
-    // b = [[1,2],[3,4],[5,6]]
-    float vals[6] = {1, 2, 3, 4, 5, 6};
-    std::copy(vals, vals + 6, b.raw());
-    matmul(a, b, out);
+    // b = [[1,2],[3,4],[5,6]], stored transposed.
+    float vals[6] = {1, 3, 5, 2, 4, 6};
+    std::copy(vals, vals + 6, bT.raw());
+    matmulTransposed(a, bT, out);
     EXPECT_EQ(out.at(0, 0), 22.0f);  // 1*1+2*3+3*5.
     EXPECT_EQ(out.at(0, 1), 28.0f);
 }
 
 TEST(Ops, MatmulTransposedMatchesMatmul)
 {
-    Matrix a(3, 4), b(4, 5), bT(5, 4), out1, out2;
+    Matrix a(3, 4), b(4, 5), bT(5, 4), out;
     for (uint32_t i = 0; i < a.size(); ++i)
         a.raw()[i] = static_cast<float>(i) * 0.25f - 1.0f;
     for (uint32_t r = 0; r < 4; ++r)
@@ -78,11 +78,17 @@ TEST(Ops, MatmulTransposedMatchesMatmul)
             b.at(r, c) = static_cast<float>(r * 5 + c) * 0.1f;
             bT.at(c, r) = b.at(r, c);
         }
-    matmul(a, b, out1);
-    matmulTransposed(a, bT, out2);
-    ASSERT_TRUE(out1.sameShape(out2));
-    for (uint32_t i = 0; i < out1.size(); ++i)
-        EXPECT_NEAR(out1.raw()[i], out2.raw()[i], 1e-4f);
+    matmulTransposed(a, bT, out);
+    ASSERT_EQ(out.rows(), 3u);
+    ASSERT_EQ(out.cols(), 5u);
+    // Against the plain a * b product.
+    for (uint32_t i = 0; i < 3; ++i)
+        for (uint32_t j = 0; j < 5; ++j) {
+            float ref = 0.0f;
+            for (uint32_t p = 0; p < 4; ++p)
+                ref += a.at(i, p) * b.at(p, j);
+            EXPECT_NEAR(out.at(i, j), ref, 1e-4f);
+        }
 }
 
 TEST(Ops, SoftmaxSumsToOne)

@@ -105,26 +105,29 @@ randomMatrix(Rng &rng, uint32_t rows, uint32_t cols,
 /**
  * Prefill @p frames iid-random synthetic frames through the model
  * (no temporal correlation — each token is fresh gaussian noise).
+ * Returns the BlockStats of every frame, in order.
  */
-inline void
+inline std::vector<BlockStats>
 streamRandomFrames(Model &model, uint32_t frames,
                    uint32_t tokens_per_frame, uint64_t seed)
 {
     Rng rng(seed);
     const uint32_t d = model.config().dModel;
+    std::vector<BlockStats> stats;
     for (uint32_t f = 0; f < frames; ++f) {
         Matrix frame = randomMatrix(rng, tokens_per_frame, d);
-        model.prefillFrame(frame, static_cast<int32_t>(f));
+        stats.push_back(model.prefillFrame(frame, static_cast<int32_t>(f)));
     }
+    return stats;
 }
 
 /**
  * Prefill @p frames temporally-correlated synthetic frames: tokens
  * cluster around a shared base latent that drifts slowly between
  * frames, mimicking real video redundancy (high inter-frame
- * similarity, gradual scene drift).
+ * similarity, gradual scene drift). Returns every frame's BlockStats.
  */
-inline void
+inline std::vector<BlockStats>
 streamCorrelatedFrames(Model &model, uint32_t frames,
                        uint32_t tokens_per_frame, uint64_t seed,
                        double token_noise = 0.15,
@@ -134,17 +137,40 @@ streamCorrelatedFrames(Model &model, uint32_t frames,
     const uint32_t d = model.config().dModel;
     std::vector<float> base(d);
     rng.fillGaussian(base.data(), d, 1.0f);
+    std::vector<BlockStats> stats;
     for (uint32_t f = 0; f < frames; ++f) {
         Matrix frame(tokens_per_frame, d);
         for (uint32_t t = 0; t < tokens_per_frame; ++t)
             for (uint32_t i = 0; i < d; ++i)
                 frame.at(t, i) = base[i] +
                     static_cast<float>(rng.gaussian(0.0, token_noise));
-        model.prefillFrame(frame, static_cast<int32_t>(f));
+        stats.push_back(model.prefillFrame(frame, static_cast<int32_t>(f)));
         // Slow drift between frames.
         for (auto &v : base)
             v += static_cast<float>(rng.gaussian(0.0, drift));
     }
+    return stats;
+}
+
+/**
+ * Greedy-decode @p tokens on a bare Model: argmax of lastLogits(),
+ * then forward that token as a one-row GeneratedText block.
+ * Returns the generated ids.
+ */
+inline std::vector<uint32_t>
+greedyDecode(Model &model, uint32_t tokens)
+{
+    std::vector<uint32_t> out;
+    for (uint32_t i = 0; i < tokens; ++i) {
+        const std::vector<float> logits = model.lastLogits();
+        const uint32_t best = static_cast<uint32_t>(
+            std::max_element(logits.begin(), logits.end()) -
+            logits.begin());
+        out.push_back(best);
+        model.forwardBlock(model.embedTokens({best}), -1,
+                           TokenStage::GeneratedText);
+    }
+    return out;
 }
 
 /** Append one block of @p tokens random K/V to every layer. */

@@ -67,10 +67,11 @@ TEST(ArrivalProcess, SameSeedSameTimestamps)
             << arrivalKindName(kind);
         // Uniform is seed-free by construction; the stochastic
         // shapes must actually consume their seed.
-        if (kind != ArrivalSpec::Kind::Uniform)
+        if (kind != ArrivalSpec::Kind::Uniform) {
             EXPECT_NE(drawArrivals(spec, 5, 64),
                       drawArrivals(spec, 6, 64))
                 << arrivalKindName(kind);
+        }
     }
 }
 
