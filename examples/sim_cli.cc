@@ -331,12 +331,14 @@ serveHibernation(const std::string &method, uint32_t sessions,
         const uint32_t open = kv.residentSessions + kv.hibernatedSessions;
         std::printf("  [%s] resident %u/%u sessions (%.1f%%), "
                     "%.2f MiB KV resident, %.2f MiB cold in %llu "
-                    "blobs\n", tag, kv.residentSessions, open,
+                    "blobs, %.2f MiB weights in %u shared set(s)\n",
+                    tag, kv.residentSessions, open,
                     open ? 100.0 * kv.residentSessions / open : 0.0,
                     kv.residentBytes / 1048576.0,
                     kv.coldBytes / 1048576.0,
                     static_cast<unsigned long long>(
-                        kv.hibernatedSessions));
+                        kv.hibernatedSessions),
+                    kv.weightBytes / 1048576.0, kv.weightSets);
         std::printf("        hibernates %llu (p50/p95 %.3f/%.3f ms), "
                     "wakes %llu (p50/p95 %.3f/%.3f ms)\n",
                     static_cast<unsigned long long>(kv.hibernates),

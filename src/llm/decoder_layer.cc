@@ -35,18 +35,18 @@ rowSlice(const Matrix &m, uint32_t first, uint32_t count)
 
 DecoderLayer::DecoderLayer(const ModelConfig &config, uint32_t index,
                            uint64_t seed)
-    : cfg(config), layerIndex(index), weightSeed(seed)
+    : layerIndex(index)
 {
-    Rng rng(seed, cfg.name + "/layer" + std::to_string(index));
-    const uint32_t d = cfg.dModel;
-    const uint32_t kv_dim = cfg.nKvHeads * cfg.headDim();
+    Rng rng(seed, config.name + "/layer" + std::to_string(index));
+    const uint32_t d = config.dModel;
+    const uint32_t kv_dim = config.nKvHeads * config.headDim();
     wq = randomWeight(d, d, rng);
     wk = randomWeight(kv_dim, d, rng);
     wv = randomWeight(kv_dim, d, rng);
     wo = randomWeight(d, d, rng);
-    w1 = randomWeight(cfg.ffnDim, d, rng);
-    w3 = randomWeight(cfg.ffnDim, d, rng);
-    w2 = randomWeight(d, cfg.ffnDim, rng);
+    w1 = randomWeight(config.ffnDim, d, rng);
+    w3 = randomWeight(config.ffnDim, d, rng);
+    w2 = randomWeight(d, config.ffnDim, rng);
     attnNorm.assign(d, 1.0f);
     ffnNorm.assign(d, 1.0f);
     // Mildly varied norm gains so layers are not identical maps.
@@ -57,32 +57,30 @@ DecoderLayer::DecoderLayer(const ModelConfig &config, uint32_t index,
 }
 
 std::vector<LayerSelection>
-DecoderLayer::forward(const std::vector<Member> &members, Matrix &x)
+DecoderLayer::forward(const ModelConfig &cfg,
+                      const std::vector<Member> &members, Matrix &x)
 {
     VREX_ASSERT(!members.empty(), "layer forward needs members");
     const DecoderLayer &first = *members[0].layer;
-    const ModelConfig &cfg = first.cfg;
     const uint32_t d = cfg.dModel;
     const uint32_t head_dim = cfg.headDim();
     const uint32_t n = static_cast<uint32_t>(members.size());
 
-    // Row offset of every member, and the contiguous equal-seed runs
-    // of members: equal (config, seed) means byte-identical weights,
-    // so a run's first layer lends its matrices to the whole run.
+    // Row offset of every member, and the contiguous runs of members
+    // that run one layer object (one shared weight set), so a run
+    // streams its matrices once.
     std::vector<uint32_t> row0(n + 1, 0);
     std::vector<std::pair<uint32_t, uint32_t>> runs;
     for (uint32_t i = 0; i < n; ++i) {
         const DecoderLayer &l = *members[i].layer;
         VREX_ASSERT(l.layerIndex == first.layerIndex &&
-                        l.cfg.dModel == d &&
-                        l.cfg.nHeads == cfg.nHeads &&
-                        l.cfg.nKvHeads == cfg.nKvHeads &&
-                        l.cfg.ffnDim == cfg.ffnDim,
+                        l.wq.rows() == d &&
+                        l.wk.rows() == cfg.nKvHeads * head_dim &&
+                        l.w1.rows() == cfg.ffnDim,
                     "layer forward needs one geometry");
         VREX_ASSERT(members[i].rows > 0, "layer forward of an empty block");
         row0[i + 1] = row0[i] + members[i].rows;
-        if (runs.empty() ||
-            members[runs.back().first].layer->weightSeed != l.weightSeed)
+        if (runs.empty() || members[runs.back().first].layer != &l)
             runs.emplace_back(i, i + 1);
         else
             runs.back().second = i + 1;

@@ -29,8 +29,8 @@ class DecoderLayer
 
     /**
      * One member of a ragged-batch layer forward: a session's own
-     * block of T consecutive rows of x, run through that session's
-     * copy of the layer against its own cache and policy.
+     * block of T consecutive rows of x, run through the layer of the
+     * session's weights against its own cache and policy.
      */
     struct Member
     {
@@ -45,27 +45,27 @@ class DecoderLayer
     /**
      * Forward a ragged batch of blocks in place: the members own
      * consecutive row ranges of @p x, in order, and must share one
-     * layer index and geometry.
+     * layer index and the geometry @p config.
      *
      * Per member this performs a solo block forward's operations in
      * its order: RoPE at basePos + t, the cache append,
      * onBlockAppended(), select() on exactly the member's T query
      * rows, and attention. The projections run through the
-     * row-grouped matmul, where contiguous members with equal weight
-     * seeds share one weight stream; every output element is still
-     * one dot(), so no member's bytes depend on its batch peers.
+     * row-grouped matmul, where contiguous members running the same
+     * layer object share one weight stream; every output element is
+     * still one dot(), so no member's bytes depend on its batch
+     * peers.
      *
      * @return The selection each member used (ratio accounting).
      */
     static std::vector<LayerSelection>
-    forward(const std::vector<Member> &members, Matrix &x);
+    forward(const ModelConfig &config, const std::vector<Member> &members,
+            Matrix &x);
 
     uint32_t index() const { return layerIndex; }
 
   private:
-    ModelConfig cfg;
     uint32_t layerIndex;
-    uint64_t weightSeed;
 
     // Weights stored as [out_features x in_features] for matmulT.
     Matrix wq, wk, wv, wo;

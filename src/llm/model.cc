@@ -1,6 +1,7 @@
 #include "llm/model.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/rng.hh"
 #include "tensor/ops.hh"
@@ -19,26 +20,38 @@ BlockStats::meanRatio() const
     return s / static_cast<double>(layerRatios.size());
 }
 
-Model::Model(const ModelConfig &config, uint64_t seed)
-    : cfg(config), weightSeed(seed), kv(config)
+ModelWeights::ModelWeights(const ModelConfig &config_value,
+                           uint64_t seed_value)
+    : config(config_value), seed(seed_value)
 {
-    layers.reserve(cfg.nLayers);
-    for (uint32_t l = 0; l < cfg.nLayers; ++l)
-        layers.emplace_back(cfg, l, seed);
-    Rng rng(seed, cfg.name + "/embedding");
-    embedding = Matrix(cfg.vocabSize, cfg.dModel);
+    layers.reserve(config.nLayers);
+    for (uint32_t l = 0; l < config.nLayers; ++l)
+        layers.emplace_back(config, l, seed);
+    Rng rng(seed, config.name + "/embedding");
+    embedding = Matrix(config.vocabSize, config.dModel);
     rng.fillGaussian(embedding.raw(), embedding.size(), 1.0f);
-    finalNorm.assign(cfg.dModel, 1.0f);
-    lastHid.assign(cfg.dModel, 0.0f);
+    finalNorm.assign(config.dModel, 1.0f);
+}
+
+Model::Model(std::shared_ptr<const ModelWeights> weights)
+    : w(std::move(weights)), kv(w->config)
+{
+    lastHid.assign(w->config.dModel, 0.0f);
+}
+
+Model::Model(const ModelConfig &config, uint64_t seed)
+    : Model(std::make_shared<const ModelWeights>(config, seed))
+{
 }
 
 Matrix
 Model::embedTokens(const std::vector<uint32_t> &ids) const
 {
+    const ModelConfig &cfg = w->config;
     Matrix x(static_cast<uint32_t>(ids.size()), cfg.dModel);
     for (uint32_t t = 0; t < ids.size(); ++t) {
         VREX_ASSERT(ids[t] < cfg.vocabSize, "token id out of range");
-        std::copy_n(embedding.row(ids[t]), cfg.dModel, x.row(t));
+        std::copy_n(w->embedding.row(ids[t]), cfg.dModel, x.row(t));
     }
     return x;
 }
@@ -47,14 +60,15 @@ std::vector<BlockStats>
 Model::forward(const std::vector<Member> &members, Matrix x)
 {
     VREX_ASSERT(!members.empty(), "forward needs members");
-    const ModelConfig &cfg = members[0].model->cfg;
+    const ModelConfig &cfg = members[0].model->config();
     std::vector<BlockStats> stats(members.size());
     std::vector<uint32_t> live; // Members with rows, in order.
     std::vector<DecoderLayer::Member> layer_members;
     uint32_t rows = 0;
     for (uint32_t i = 0; i < members.size(); ++i) {
         const Member &m = members[i];
-        VREX_ASSERT(m.model->cfg.nLayers == cfg.nLayers,
+        VREX_ASSERT(m.model->config().nLayers == cfg.nLayers &&
+                        m.model->config().nHeads == cfg.nHeads,
                     "forward needs one geometry");
         stats[i].stage = m.stage;
         stats[i].blockLen = m.rows;
@@ -72,9 +86,9 @@ Model::forward(const std::vector<Member> &members, Matrix x)
 
     for (uint32_t l = 0; l < cfg.nLayers && !live.empty(); ++l) {
         for (size_t j = 0; j < live.size(); ++j)
-            layer_members[j].layer = &members[live[j]].model->layers[l];
+            layer_members[j].layer = &members[live[j]].model->w->layers[l];
         const std::vector<LayerSelection> sels =
-            DecoderLayer::forward(layer_members, x);
+            DecoderLayer::forward(cfg, layer_members, x);
         for (size_t j = 0; j < live.size(); ++j) {
             BlockStats &st = stats[live[j]];
             st.layerRatios.push_back(sels[j].selectedRatio(st.pastLen));
@@ -92,7 +106,7 @@ Model::forward(const std::vector<Member> &members, Matrix x)
         if (m.rows == 0)
             continue;
         m.model->lastHid.assign(x.row(end - 1), x.row(end - 1) + cfg.dModel);
-        rmsNorm(m.model->lastHid.data(), m.model->finalNorm.data(),
+        rmsNorm(m.model->lastHid.data(), m.model->w->finalNorm.data(),
                 cfg.dModel);
     }
     return stats;
@@ -109,19 +123,18 @@ Matrix
 Model::logits(const std::vector<const Model *> &models)
 {
     VREX_ASSERT(!models.empty(), "logits need models");
-    const ModelConfig &cfg = models[0]->cfg;
+    const ModelConfig &cfg = models[0]->config();
     const uint32_t n = static_cast<uint32_t>(models.size());
     Matrix hid(n, cfg.dModel);
     std::vector<RowGroup> groups;
     for (uint32_t i = 0; i < n; ++i) {
         const Model &m = *models[i];
-        VREX_ASSERT(m.cfg.dModel == cfg.dModel &&
-                        m.cfg.vocabSize == cfg.vocabSize,
+        VREX_ASSERT(m.config().dModel == cfg.dModel &&
+                        m.config().vocabSize == cfg.vocabSize,
                     "logits need one geometry");
         std::copy_n(m.lastHid.data(), cfg.dModel, hid.row(i));
-        if (groups.empty() ||
-            models[groups.back().rowBegin]->weightSeed != m.weightSeed)
-            groups.push_back({i, i + 1, &m.embedding});
+        if (groups.empty() || groups.back().bT != &m.w->embedding)
+            groups.push_back({i, i + 1, &m.w->embedding});
         else
             groups.back().rowEnd = i + 1;
     }
@@ -134,7 +147,7 @@ std::vector<float>
 Model::lastLogits() const
 {
     const Matrix out = logits({this});
-    return std::vector<float>(out.row(0), out.row(0) + cfg.vocabSize);
+    return std::vector<float>(out.row(0), out.row(0) + out.cols());
 }
 
 BlockStats
@@ -155,7 +168,7 @@ Model::resetSession()
     kv.clear();
     if (selPolicy)
         selPolicy->reset();
-    lastHid.assign(cfg.dModel, 0.0f);
+    lastHid.assign(w->config.dModel, 0.0f);
 }
 
 void
@@ -170,7 +183,7 @@ Model::restoreState(serial::ByteReader &r)
 {
     kv.restore(r);
     lastHid = r.getVec<float>();
-    if (lastHid.size() != cfg.dModel)
+    if (lastHid.size() != w->config.dModel)
         throw serial::SerialError(
             "Model::restoreState: lastHidden size mismatch");
 }

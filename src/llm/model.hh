@@ -35,13 +35,37 @@ struct BlockStats
     double meanRatio() const;
 };
 
-/** The decoder-only backbone with synthetic deterministic weights. */
+/**
+ * The immutable half of the backbone: synthetic deterministic weights
+ * built once from (config, seed). Models hold it through a
+ * shared_ptr<const ModelWeights>, so any number of sessions can run
+ * one copy.
+ */
+struct ModelWeights
+{
+    ModelWeights(const ModelConfig &config, uint64_t seed);
+
+    /** Bytes of every weight array held (fp32 parameters). */
+    uint64_t bytes() const { return config.paramCount() * sizeof(float); }
+
+    ModelConfig config;
+    uint64_t seed;
+    std::vector<DecoderLayer> layers;
+    Matrix embedding;             //!< vocab x dModel (tied output).
+    std::vector<float> finalNorm;
+};
+
+/** The decoder-only backbone: shared weights plus one stream's state. */
 class Model
 {
   public:
+    explicit Model(std::shared_ptr<const ModelWeights> weights);
+
+    /** A model over a private copy of the (config, seed) weights. */
     Model(const ModelConfig &config, uint64_t seed = 42);
 
-    const ModelConfig &config() const { return cfg; }
+    const ModelConfig &config() const { return w->config; }
+    const ModelWeights &weights() const { return *w; }
     KVCache &cache() { return kv; }
     const KVCache &cache() const { return kv; }
 
@@ -91,8 +115,8 @@ class Model
     const std::vector<float> &lastHidden() const { return lastHid; }
 
     /** Logits of every model's most recent token (tied embedding),
-     *  one row per model. Contiguous models with equal seeds share
-     *  one embedding stream; each element is one dot(). */
+     *  one row per model. Contiguous models sharing one weight set
+     *  share one embedding stream; each element is one dot(). */
     static Matrix logits(const std::vector<const Model *> &models);
 
     /** logits() of this model alone. */
@@ -107,8 +131,8 @@ class Model
     /**
      * Serialize the mutable model state: KV cache and last hidden
      * state. Weights are NOT serialized — they are deterministic
-     * from (config, seed) and the restoring model must be
-     * constructed with the same pair. Policy state is
+     * from (config, seed) and the restoring model must run weights
+     * built from the same pair. Policy state is
      * serialized separately by the owner (the policy object lives
      * outside the model).
      */
@@ -116,12 +140,8 @@ class Model
     void restoreState(serial::ByteReader &r);
 
   private:
-    ModelConfig cfg;
-    uint64_t weightSeed;
+    std::shared_ptr<const ModelWeights> w;
     KVCache kv;
-    std::vector<DecoderLayer> layers;
-    Matrix embedding;             //!< vocab x dModel (tied output).
-    std::vector<float> finalNorm;
     SelectionPolicy *selPolicy = nullptr;
     std::vector<float> lastHid;
 };

@@ -1,6 +1,7 @@
 #include "pipeline/accuracy_eval.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "pipeline/streaming_session.hh"
 #include "tensor/ops.hh"
@@ -12,15 +13,18 @@ FidelityResult
 evaluateFidelity(const ModelConfig &model, const SessionScript &script,
                  SelectionPolicy *policy, uint64_t seed)
 {
+    // Both runs share one copy of the weights.
+    const auto weights = std::make_shared<const ModelWeights>(model, seed);
+
     // Reference: full attention, free-running generation.
-    StreamingSession ref_session(model, nullptr, seed);
+    StreamingSession ref_session(weights, nullptr);
     SessionRunResult ref = ref_session.run(script);
 
     // Policy run: teacher-forced with the reference tokens so every
     // step is compared under the identical context.
     if (policy)
         policy->reset();
-    StreamingSession test_session(model, policy, seed);
+    StreamingSession test_session(weights, policy);
     SessionRunResult test = test_session.run(script, ref.generated);
 
     return compareRuns(ref, test);

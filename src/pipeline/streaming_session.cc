@@ -1,18 +1,27 @@
 #include "pipeline/streaming_session.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace vrex
 {
 
+StreamingSession::StreamingSession(
+    std::shared_ptr<const ModelWeights> weights, SelectionPolicy *policy)
+    : seed(weights->seed), llm(std::move(weights))
+{
+    llm.setPolicy(policy);
+}
+
 StreamingSession::StreamingSession(const ModelConfig &model_config,
                                    SelectionPolicy *policy,
                                    uint64_t seed_value)
-    : seed(seed_value), llm(model_config, seed_value)
+    : StreamingSession(
+          std::make_shared<const ModelWeights>(model_config, seed_value),
+          policy)
 {
-    llm.setPolicy(policy);
 }
 
 void

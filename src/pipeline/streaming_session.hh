@@ -52,10 +52,16 @@ class StreamingSession
 {
   public:
     /**
-     * @param model_config The backbone geometry (functional sizes).
-     * @param policy       Retrieval policy; nullptr = full attention.
-     * @param seed         Master seed (weights + video + questions).
+     * @param weights Backbone weights, shared read-only; their seed
+     *                is the session's master seed (weights + video +
+     *                questions).
+     * @param policy  Retrieval policy; nullptr = full attention.
      */
+    StreamingSession(std::shared_ptr<const ModelWeights> weights,
+                     SelectionPolicy *policy);
+
+    /** A session over a private copy of the (model_config, seed)
+     *  weights. */
     StreamingSession(const ModelConfig &model_config,
                      SelectionPolicy *policy, uint64_t seed);
 
@@ -146,7 +152,7 @@ class StreamingSession
      * snapshot accumulators.
      *
      * Weights are not serialized — they are deterministic from the
-     * construction pair (model config, seed), which restore()
+     * pair (model config, seed) they were built from, which restore()
      * validates. The installed policy's *state* is included (via
      * SelectionPolicy::serializeState); the policy object itself is
      * identity the owner must recreate before restoring.
@@ -161,7 +167,8 @@ class StreamingSession
 
     /**
      * Counterpart of serialize(). Must be called on a session
-     * constructed with the same (model config, policy spec, seed);
+     * running weights of the same (model config, seed) under the
+     * same policy spec;
      * begin() is not required first. Throws serial::SerialError on
      * corrupted/truncated blobs, version mismatch, or identity
      * mismatch (seed, model geometry, policy presence).
@@ -195,7 +202,7 @@ class StreamingSession
         }
     };
 
-    uint64_t seed;
+    uint64_t seed; //!< The weights' seed, also the streams' master.
     Model llm;
     std::unique_ptr<Stream> stream;
 

@@ -120,21 +120,13 @@ Engine::tryCreateSession(const SessionOptions &options)
         return a;
     }
 
-    // Build the (expensive) per-session state only once admitted.
-    // Release the reserved slot if construction throws (e.g. a
-    // custom policy maker), or the cap would leak capacity.
+    // Build the per-session state only once admitted. Release the
+    // reserved slot if construction throws (e.g. a custom policy
+    // maker), or the cap would leak capacity.
     try {
         auto s = std::make_unique<Session>();
         s->options = options;
-        const PolicySpec &spec =
-            options.policy ? *options.policy : cfg.policy;
-        const uint64_t seed = options.sessionSeed ? *options.sessionSeed
-                                                  : cfg.sessionSeed;
-        const PolicyFactory &factory =
-            cfg.factory ? *cfg.factory : PolicyFactory::global();
-        s->policy = factory.make(cfg.model, spec);
-        s->exec = std::make_unique<StreamingSession>(
-            cfg.model, s->policy.active(), seed);
+        buildExec(*s);
         s->exec->begin(options.name, options.video,
                        options.scriptSeed, options.forcedTokens);
 
@@ -299,15 +291,19 @@ Engine::pinOrThrow(SessionId id)
             std::to_string(id));
 }
 
-void
-Engine::wakeSession(SessionId id, Session &s)
+std::shared_ptr<const ModelWeights>
+Engine::weightsFor(uint64_t seed)
 {
-    const auto t0 = WallClock::now();
-    std::vector<uint8_t> blob = coldStore->get(id);
-    // Rebuild exactly what tryCreateSession built — weights, policy
-    // and RNG streams are deterministic from (config, seed), so only
-    // the blob's state overlay distinguishes this from a fresh
-    // session. restore() validates the identity and is bit-exact.
+    LockGuard lock(wmu);
+    std::shared_ptr<const ModelWeights> &w = weightSets[seed];
+    if (!w)
+        w = std::make_shared<const ModelWeights>(cfg.model, seed);
+    return w;
+}
+
+void
+Engine::buildExec(Session &s)
+{
     const SessionOptions &options = s.options;
     const PolicySpec &spec =
         options.policy ? *options.policy : cfg.policy;
@@ -316,8 +312,20 @@ Engine::wakeSession(SessionId id, Session &s)
     const PolicyFactory &factory =
         cfg.factory ? *cfg.factory : PolicyFactory::global();
     s.policy = factory.make(cfg.model, spec);
-    s.exec = std::make_unique<StreamingSession>(
-        cfg.model, s.policy.active(), seed);
+    s.exec = std::make_unique<StreamingSession>(weightsFor(seed),
+                                                s.policy.active());
+}
+
+void
+Engine::wakeSession(SessionId id, Session &s)
+{
+    const auto t0 = WallClock::now();
+    std::vector<uint8_t> blob = coldStore->get(id);
+    // Rebuild exactly what tryCreateSession built — the interned
+    // weights, a fresh policy, the executor — so only the blob's
+    // state overlay distinguishes this from a fresh session.
+    // restore() validates the identity and is bit-exact.
+    buildExec(s);
     s.exec->restore(blob);
     s.hibernated = false;
     coldStore->erase(id);
@@ -430,6 +438,10 @@ Engine::stats() const
 {
     Stats s = sched.stats();
     s.kv = budget.snapshot(*coldStore);
+    LockGuard lock(wmu);
+    s.kv.weightSets = static_cast<uint32_t>(weightSets.size());
+    for (const auto &[seed, w] : weightSets)
+        s.kv.weightBytes += w->bytes();
     return s;
 }
 

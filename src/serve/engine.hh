@@ -4,11 +4,14 @@
  *
  * An Engine owns a pool of worker threads and any number of
  * independent streaming-QA sessions. Each session bundles its own
- * Model, an *owned* retrieval policy built from a declarative
- * PolicySpec, and its own RNG streams, so sessions share no mutable
- * state: an N-way concurrent run is byte-identical to N sequential
- * StreamingSession runs (locked by tests/serve_test.cc and
- * tests/serve_sched_test.cc).
+ * Model state (KV cache, hidden state), an *owned* retrieval policy
+ * built from a declarative PolicySpec, and its own RNG streams. The
+ * only thing sessions share is immutable: the engine interns one
+ * ModelWeights per master seed, built on first use, and every
+ * session of that seed runs it read-only. So sessions share no
+ * mutable state: an N-way concurrent run is byte-identical to N
+ * sequential StreamingSession runs (locked by tests/serve_test.cc
+ * and tests/serve_sched_test.cc).
  *
  * Lifecycle:
  *
@@ -57,17 +60,19 @@
  * is non-zero, the engine tracks every session's KV working set and,
  * whenever the resident total overflows the budget, hibernates idle
  * sessions — serializing their full state (StreamingSession::
- * serialize) into a ColdStore and releasing model, policy and KV
- * cache. Victims are picked least-recently-executed first, Bulk class
- * before Interactive; busy sessions are skipped, never waited for.
- * The next verb (or drained accessor) wakes the session
- * transparently: the blob is fetched, the model/policy rebuilt from
- * config + seed, and state restored bit-exactly, so a hibernated
- * session's results are byte-identical to an uninterrupted run
- * (locked by tests/hibernate_test.cc). With the default budget of 0
- * nothing changes: no accounting, no hibernation, the pre-PR-7
- * engine. Stats::kv reports resident/cold bytes, transition counts
- * and hibernate/wake latency percentiles.
+ * serialize) into a ColdStore and releasing executor, policy and KV
+ * cache (the interned weights stay). Victims are picked
+ * least-recently-executed first, Bulk class before Interactive; busy
+ * sessions are skipped, never waited for. The next verb (or drained
+ * accessor) wakes the session transparently: the blob is fetched, a
+ * policy and executor are rebuilt over the interned weights, and
+ * state is restored bit-exactly, so a hibernated session's results
+ * are byte-identical to an uninterrupted run (locked by
+ * tests/hibernate_test.cc). With the default budget of 0 nothing
+ * changes: no accounting, no hibernation, the pre-PR-7 engine.
+ * Stats::kv reports resident/cold bytes, the interned weight bytes
+ * (counted once), transition counts and hibernate/wake latency
+ * percentiles.
  */
 
 #ifndef VREX_SERVE_ENGINE_HH
@@ -155,8 +160,8 @@ struct EngineConfig
      *  ragged forward pass (StreamingSession::generateStep with one
      *  member per session). All sessions share the engine's
      *  ModelConfig, so geometry always matches; contiguous members
-     *  with equal master seeds share weight *values* and one weight
-     *  stream in the grouped matmul. Per-session
+     *  with equal master seeds run one interned ModelWeights and
+     *  share one weight stream in the grouped matmul. Per-session
      *  results are byte-identical to solo execution whether or not
      *  steps coalesce; with the default (disabled) the dispatch path
      *  is byte-identical to the pre-batching engine. Stats::batch
@@ -215,7 +220,8 @@ class Engine
     // ---- session lifecycle -------------------------------------
 
     /**
-     * Open a session; its model/policy are built on admission.
+     * Open a session; its policy and model state are built on
+     * admission, over the interned weights of its seed.
      * @throws AdmissionError at the live-session cap.
      */
     SessionId createSession(const SessionOptions &options = {});
@@ -355,14 +361,21 @@ class Engine
      *  (Scheduler batch callback; each member advances one token). */
     void runBatch(const std::vector<SessionId> &ids);
     Session *sessionFor(SessionId id);
+    /** The interned weights of master seed @p seed, built under the
+     *  lock on first use and kept for the engine's lifetime. */
+    std::shared_ptr<const ModelWeights> weightsFor(uint64_t seed)
+        VREX_EXCLUDES(wmu);
+    /** Make @p s's policy and an unbegun executor over its interned
+     *  weights (create and wake share this). */
+    void buildExec(Session &s);
     Session &pinnedSession(SessionId id);
     /** pinWhenIdle or std::out_of_range for unknown/closed ids. */
     void pinOrThrow(SessionId id);
 
     // Hibernation transitions. Callers hold exclusive access to the
     // session (it is running on this worker, or pinned by us).
-    /** Rebuild model/policy from config + seed and restore the cold
-     *  blob bit-exactly; erases the blob on success. */
+    /** Rebuild the policy and executor over the interned weights and
+     *  restore the cold blob bit-exactly; erases the blob on success. */
     void wakeSession(SessionId id, Session &s);
     /** Serialize into the cold store, release exec + policy. */
     void hibernateSession(SessionId id, Session &s);
@@ -378,6 +391,14 @@ class Engine
      *  MemoryColdStore). */
     std::shared_ptr<ColdStore> coldStore;
     KvBudget budget;
+
+    mutable Mutex wmu; //!< Guards `weightSets` only.
+    /** Interned weights by master seed. An engine has one
+     *  ModelConfig, so the seed alone is the key. Entries stay for
+     *  the engine's lifetime: churn traffic closes a session before
+     *  creating the next, and a weak cache would rebuild each time. */
+    std::map<uint64_t, std::shared_ptr<const ModelWeights>> weightSets
+        VREX_GUARDED_BY(wmu);
 
     mutable Mutex smu; //!< Guards `sessions` and `nextId` only.
     std::map<SessionId, std::unique_ptr<Session>> sessions

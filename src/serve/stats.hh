@@ -275,6 +275,12 @@ struct KvBudgetStats
     uint32_t hibernatedSessions = 0;
     /** Bytes currently held by the cold store. */
     uint64_t coldBytes = 0;
+    /** Bytes of the engine's interned model weights, each set
+     *  counted once however many sessions run it (filled with or
+     *  without a budget; not priced by the budget). */
+    uint64_t weightBytes = 0;
+    /** Interned weight sets (one per distinct master seed used). */
+    uint32_t weightSets = 0;
     /** Cumulative hibernate / wake transitions. */
     uint64_t hibernates = 0;
     uint64_t wakes = 0;
@@ -284,7 +290,7 @@ struct KvBudgetStats
     uint64_t wokenBytes = 0;
     /** Serialize + cold-store put time per hibernate (wall clock). */
     LatencyHistogram hibernateLatency;
-    /** Cold-store get + rebuild + restore time per wake
+    /** Cold-store get + policy rebuild + restore time per wake
      *  (wall clock) — the wake-latency contract surface. */
     LatencyHistogram wakeLatency;
 };

@@ -27,13 +27,35 @@ matmulTransposedGrouped(const Matrix &a,
                         g.rowEnd <= a.rows(),
                     "grouped matmulT groups must tile the rows");
         next_row = g.rowEnd;
-        // Weight row outer, batch row inner: one streamed weight row
-        // serves every row of the group.
-        for (uint32_t j = 0; j < g.bT->rows(); ++j) {
-            const float *brow = g.bT->row(j);
-            for (uint32_t i = g.rowBegin; i < g.rowEnd; ++i)
-                out.row(i)[j] = dot(a.row(i), brow, a.cols());
+        // Weight rows outer, batch row inner: streamed weight rows
+        // serve every row of the group. Four weight rows at a time
+        // give four independent sums, so the adds overlap instead of
+        // waiting on one chain; each sum is still dot()'s sequential
+        // sum, so every element keeps its bytes.
+        const uint32_t n = a.cols(), m = g.bT->rows();
+        uint32_t j = 0;
+        for (; j + 4 <= m; j += 4) {
+            const float *b0 = g.bT->row(j), *b1 = g.bT->row(j + 1),
+                        *b2 = g.bT->row(j + 2), *b3 = g.bT->row(j + 3);
+            for (uint32_t i = g.rowBegin; i < g.rowEnd; ++i) {
+                const float *x = a.row(i);
+                float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+                for (uint32_t k = 0; k < n; ++k) {
+                    s0 += x[k] * b0[k];
+                    s1 += x[k] * b1[k];
+                    s2 += x[k] * b2[k];
+                    s3 += x[k] * b3[k];
+                }
+                float *o = out.row(i) + j;
+                o[0] = s0;
+                o[1] = s1;
+                o[2] = s2;
+                o[3] = s3;
+            }
         }
+        for (; j < m; ++j)
+            for (uint32_t i = g.rowBegin; i < g.rowEnd; ++i)
+                out.row(i)[j] = dot(a.row(i), g.bT->row(j), n);
     }
     VREX_ASSERT(next_row == a.rows(),
                 "grouped matmulT groups must cover every row");

@@ -31,9 +31,10 @@ struct RowGroup
 /**
  * Row-grouped out = a * b^T: every group's rows multiply against
  * that group's weight matrix (all groups must agree on bT shape).
- * Each output element is one dot() of an `a` row and a weight row;
- * the loop runs weight row outer, batch row inner, so one streamed
- * weight row serves every row of its group. This is the one dense
+ * Each output element is bit-identical to one dot() of an `a` row
+ * and a weight row; the loop runs weight rows outer (four at a time,
+ * as four independent sequential sums), batch row inner, so streamed
+ * weight rows serve every row of their group. This is the one dense
  * kernel under both block prefill and cross-session generation.
  */
 void matmulTransposedGrouped(const Matrix &a,

@@ -18,14 +18,19 @@
  *    transparently on the next verb or drained accessor, with
  *    per-session results identical to sequential ground truth across
  *    the scheduler shape zoo; the default budget of 0 changes
- *    nothing.
+ *    nothing;
+ *  - the Engine interns one ModelWeights per master seed: creates,
+ *    closes, wakes and concurrent creators all share it, and
+ *    Stats::kv counts its bytes once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/serial.hh"
@@ -774,4 +779,175 @@ TEST(EngineHibernate, FileColdStoreBackend)
     engine.closeSession(b);
     EXPECT_EQ(store->count(), 0u);
     std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------
+// Interned weights
+// ---------------------------------------------------------------
+
+TEST(EngineWeights, OneSetPerSeedCountedOnce)
+{
+    serve::EngineConfig cfg;
+    cfg.model = ModelConfig::tiny();
+    cfg.workers = 2;
+    serve::Engine engine(cfg); // No budget: the counters fill anyway.
+    EXPECT_EQ(engine.stats().kv.weightSets, 0u);
+    EXPECT_EQ(engine.stats().kv.weightBytes, 0u);
+
+    std::vector<serve::SessionId> ids;
+    for (uint32_t i = 0; i < 6; ++i)
+        ids.push_back(engine.createSession());
+    const uint64_t one_set = cfg.model.paramCount() * sizeof(float);
+    serve::KvBudgetStats kv = engine.stats().kv;
+    EXPECT_EQ(kv.weightSets, 1u);
+    EXPECT_EQ(kv.weightBytes, one_set);
+    EXPECT_EQ(&engine.model(ids[0]).weights(),
+              &engine.model(ids[5]).weights());
+
+    serve::SessionOptions o;
+    o.sessionSeed = 7;
+    ids.push_back(engine.createSession(o));
+    kv = engine.stats().kv;
+    EXPECT_EQ(kv.weightSets, 2u);
+    EXPECT_EQ(kv.weightBytes, 2 * one_set);
+    EXPECT_NE(&engine.model(ids[0]).weights(),
+              &engine.model(ids.back()).weights());
+    EXPECT_EQ(engine.model(ids.back()).weights().seed, 7u);
+
+    for (serve::SessionId id : ids)
+        engine.closeSession(id);
+    EXPECT_EQ(engine.stats().kv.weightSets, 2u); // Kept, not refcounted.
+}
+
+TEST(EngineWeights, CreateCloseCreateReusesTheSet)
+{
+    serve::EngineConfig cfg;
+    cfg.model = ModelConfig::tiny();
+    cfg.workers = 1;
+    serve::Engine engine(cfg);
+
+    const serve::SessionId a = engine.createSession();
+    const ModelWeights *w = &engine.model(a).weights();
+    engine.closeSession(a);
+    const serve::SessionId b = engine.createSession();
+    EXPECT_EQ(&engine.model(b).weights(), w);
+    EXPECT_EQ(engine.stats().kv.weightSets, 1u);
+    engine.closeSession(b);
+}
+
+TEST(EngineWeights, HibernateWakeCyclesKeepOneSet)
+{
+    const ModelConfig model = ModelConfig::tiny();
+    serve::EngineConfig cfg;
+    cfg.model = model;
+    cfg.workers = 1;
+    cfg.kvBudget.budgetBytes = 1; // Each slice hibernates the peer.
+    serve::Engine engine(cfg);
+
+    const SessionScript sa = randomVerbScript(9300, 0);
+    const SessionScript sb = randomVerbScript(9400, 1);
+    const serve::SessionId a =
+        engine.createSession(serve::SessionOptions::fromScript(sa));
+    const serve::SessionId b =
+        engine.createSession(serve::SessionOptions::fromScript(sb));
+    const ModelWeights *w = &engine.model(a).weights();
+
+    // Alternate single events so A and B hibernate and wake in turn.
+    for (size_t i = 0; i < std::max(sa.events.size(), sb.events.size());
+         ++i) {
+        if (i < sa.events.size())
+            engine.enqueue(a, {sa.events[i]});
+        engine.waitAll();
+        if (i < sb.events.size())
+            engine.enqueue(b, {sb.events[i]});
+        engine.waitAll();
+    }
+    const serve::KvBudgetStats kv = engine.stats().kv;
+    EXPECT_GE(kv.wakes, 3u);
+    EXPECT_EQ(kv.weightSets, 1u);
+    EXPECT_EQ(&engine.model(a).weights(), w);
+    EXPECT_EQ(&engine.model(b).weights(), w);
+
+    expectIdenticalRuns(engine.result(a), sequentialReplay(
+                                              model, sa, cfg.policy,
+                                              cfg.sessionSeed));
+    expectIdenticalRuns(engine.result(b), sequentialReplay(
+                                              model, sb, cfg.policy,
+                                              cfg.sessionSeed));
+    EXPECT_EQ(engine.stats().kv.weightSets, 1u);
+    engine.closeSession(a);
+    engine.closeSession(b);
+}
+
+TEST(EngineWeights, ConcurrentCreatesWhileWorkersWake)
+{
+    // Creator threads intern weights (two seeds) while the workers
+    // wake hibernated sessions over the same map: the TSan leg checks
+    // the lock, the replays check the bytes.
+    const ModelConfig model = ModelConfig::tiny();
+    serve::EngineConfig cfg;
+    cfg.model = model;
+    cfg.workers = 3;
+    cfg.kvBudget.budgetBytes = 1;
+    serve::Engine engine(cfg);
+
+    // More sessions than workers: at most one per worker stays
+    // resident, so the rest end hibernated.
+    std::vector<SessionScript> early = randomVerbScripts(5, 9500);
+    std::vector<serve::SessionId> early_ids;
+    for (const SessionScript &s : early)
+        early_ids.push_back(engine.submit(s));
+    engine.waitAll();
+    ASSERT_GE(engine.stats().kv.hibernatedSessions, 1u);
+
+    constexpr uint32_t kThreads = 3, kPerThread = 3;
+    const std::vector<SessionScript> late =
+        randomVerbScripts(kThreads * kPerThread, 9600);
+    auto seed_of = [](size_t j) { return j % 2 ? uint64_t(7) : 42u; };
+    std::vector<serve::SessionId> late_ids(late.size());
+    std::vector<std::thread> creators;
+    for (uint32_t t = 0; t < kThreads; ++t) {
+        creators.emplace_back([&, t] {
+            for (uint32_t k = 0; k < kPerThread; ++k) {
+                const size_t j = t * kPerThread + k;
+                serve::SessionOptions o =
+                    serve::SessionOptions::fromScript(late[j]);
+                o.sessionSeed = seed_of(j);
+                const serve::Admission adm = engine.tryCreateSession(o);
+                late_ids[j] = adm.id;
+                if (adm)
+                    engine.enqueue(adm.id, late[j].events);
+            }
+        });
+    }
+    // Meanwhile, a trailing QA round wakes every early session.
+    const std::vector<SessionEvent> qa{{SessionEvent::Type::Question, 2},
+                                       {SessionEvent::Type::Generate, 2}};
+    for (size_t i = 0; i < early.size(); ++i) {
+        engine.enqueue(early_ids[i], qa);
+        early[i].events.insert(early[i].events.end(), qa.begin(),
+                               qa.end());
+    }
+    for (std::thread &t : creators)
+        t.join();
+    engine.waitAll();
+
+    const serve::KvBudgetStats kv = engine.stats().kv;
+    EXPECT_EQ(kv.weightSets, 2u);
+    EXPECT_GT(kv.wakes, 0u);
+    for (size_t i = 0; i < early.size(); ++i) {
+        SCOPED_TRACE("early " + std::to_string(i));
+        expectIdenticalRuns(engine.result(early_ids[i]),
+                            sequentialReplay(model, early[i], cfg.policy,
+                                             cfg.sessionSeed));
+        engine.closeSession(early_ids[i]);
+    }
+    for (size_t j = 0; j < late.size(); ++j) {
+        SCOPED_TRACE("late " + std::to_string(j));
+        ASSERT_NE(late_ids[j], 0u);
+        expectIdenticalRuns(engine.result(late_ids[j]),
+                            sequentialReplay(model, late[j], cfg.policy,
+                                             seed_of(j)));
+        engine.closeSession(late_ids[j]);
+    }
 }

@@ -383,14 +383,17 @@ TEST(Model, LogitsMatchVocab)
 
 TEST(Model, RaggedForwardMatchesSoloBitExact)
 {
-    // Three ragged members (T = 3, 1, 5) over two weight seeds, one
-    // without a policy, plus an empty member: each must end exactly
-    // where a forward of that member alone ends.
+    // Six ragged members (T = 3, 1, 2, 1, 5, 0), two of which run one
+    // shared ModelWeights beside private copies of the same seed, one
+    // more seed, members without a policy, and an empty member: each
+    // must end exactly where a forward of that member alone ends.
     ModelConfig cfg = ModelConfig::tiny();
     Rng rng(23);
-    const uint32_t rows[] = {3, 1, 5, 0};
-    const uint64_t seeds[] = {42, 42, 7, 7};
-    Matrix x(9, cfg.dModel);
+    constexpr uint32_t kMembers = 6;
+    const uint32_t rows[kMembers] = {3, 1, 2, 1, 5, 0};
+    const uint64_t seeds[kMembers] = {42, 42, 42, 42, 7, 7};
+    const bool shared[kMembers] = {false, true, true, false, false, false};
+    Matrix x(12, cfg.dModel);
     rng.fillGaussian(x.raw(), x.size(), 1.0f);
 
     struct Side
@@ -398,42 +401,53 @@ TEST(Model, RaggedForwardMatchesSoloBitExact)
         std::vector<std::unique_ptr<SelectionPolicy>> policies;
         std::vector<std::unique_ptr<Model>> models;
     };
-    auto build = [&](Side &side) {
+    // The batched side runs members 1 and 2 on one weight set; the
+    // solo side gives every member a private copy.
+    auto build = [&](Side &side, bool share) {
+        const auto shared_weights =
+            std::make_shared<const ModelWeights>(cfg, 42);
         side.policies.push_back(
             std::make_unique<ResvPolicy>(cfg, ResvConfig{}));
         InfiniGenConfig ic;
         ic.prefill = true;
         side.policies.push_back(
             std::make_unique<InfiniGenPolicy>(cfg, ic));
-        side.policies.push_back(nullptr);
-        side.policies.push_back(nullptr);
-        for (uint32_t i = 0; i < 4; ++i) {
-            side.models.push_back(std::make_unique<Model>(cfg, seeds[i]));
+        side.policies.push_back(
+            std::make_unique<ResvPolicy>(cfg, ResvConfig{}));
+        for (uint32_t i = 3; i < kMembers; ++i)
+            side.policies.push_back(nullptr);
+        for (uint32_t i = 0; i < kMembers; ++i) {
+            side.models.push_back(
+                share && shared[i]
+                    ? std::make_unique<Model>(shared_weights)
+                    : std::make_unique<Model>(cfg, seeds[i]));
             side.models[i]->setPolicy(side.policies[i].get());
             // Distinct context depths per member.
             testutil::streamRandomFrames(*side.models[i], i + 1, 4, 100 + i);
         }
     };
     Side batched, solo;
-    build(batched);
-    build(solo);
+    build(batched, true);
+    build(solo, false);
+    ASSERT_EQ(&batched.models[1]->weights(), &batched.models[2]->weights());
+    ASSERT_NE(&batched.models[0]->weights(), &batched.models[1]->weights());
 
     std::vector<Model::Member> members;
-    for (uint32_t i = 0; i < 4; ++i)
+    for (uint32_t i = 0; i < kMembers; ++i)
         members.push_back({batched.models[i].get(), rows[i], 9,
                            TokenStage::VideoFrame});
-    const std::vector<float> empty_hidden = batched.models[3]->lastHidden();
+    const std::vector<float> empty_hidden = batched.models[5]->lastHidden();
     const std::vector<BlockStats> stats = Model::forward(members, x);
-    ASSERT_EQ(stats.size(), 4u);
+    ASSERT_EQ(stats.size(), kMembers);
 
     // The empty member appends nothing and keeps its hidden state.
-    EXPECT_EQ(stats[3].pastLen, 16u);
-    EXPECT_TRUE(stats[3].layerRatios.empty());
-    EXPECT_EQ(batched.models[3]->cache().tokenCount(), 16u);
-    EXPECT_EQ(batched.models[3]->lastHidden(), empty_hidden);
+    EXPECT_EQ(stats[5].pastLen, 24u);
+    EXPECT_TRUE(stats[5].layerRatios.empty());
+    EXPECT_EQ(batched.models[5]->cache().tokenCount(), 24u);
+    EXPECT_EQ(batched.models[5]->lastHidden(), empty_hidden);
 
     uint32_t row = 0;
-    for (uint32_t i = 0; i < 4; ++i) {
+    for (uint32_t i = 0; i < kMembers; ++i) {
         Matrix xi(rows[i], cfg.dModel);
         std::copy_n(x.row(row), size_t(rows[i]) * cfg.dModel, xi.raw());
         row += rows[i];
@@ -454,5 +468,18 @@ TEST(Model, RaggedForwardMatchesSoloBitExact)
             EXPECT_EQ(0, std::memcmp(ka.values.raw(), kb.values.raw(),
                                      ka.values.size() * sizeof(float)));
         }
+    }
+
+    // Logits group on the weight pointer too: one pass over all six
+    // matches each model's own logits.
+    std::vector<const Model *> all;
+    for (const auto &m : batched.models)
+        all.push_back(m.get());
+    const Matrix logits = Model::logits(all);
+    for (uint32_t i = 0; i < kMembers; ++i) {
+        const std::vector<float> ref = solo.models[i]->lastLogits();
+        EXPECT_EQ(0, std::memcmp(logits.row(i), ref.data(),
+                                 ref.size() * sizeof(float)))
+            << "member " << i;
     }
 }
