@@ -1,11 +1,12 @@
 /**
  * @file
- * Micro-benchmarks of the DRE kernels behind the runtime dispatch
- * layer (core/kernels): XOR+popcount Hamming, hash-bit encoding,
- * WiCSum min/max + bucket-membership scan — the software-side
- * counterparts of the HCU and WTU — plus a continuity panel for the
- * surrounding operations (cosine similarity, HC-table insert, the
- * reference WiCSum sort).
+ * Micro-benchmarks of the kernels behind the runtime dispatch layer
+ * (core/kernels): XOR+popcount Hamming, hash-bit encoding, WiCSum
+ * min/max + bucket-membership scan — the software-side counterparts
+ * of the HCU and WTU — and the dense panel (canonical 8-lane dot,
+ * tiled GEMM/GEMV, gathered attention scoring), plus a continuity
+ * panel for the surrounding operations (cosine similarity, HC-table
+ * insert, the reference WiCSum sort).
  *
  * Unlike the figure/table harnesses, the ns/op numbers here are host
  * wall-clock timings, so they are excluded from the figure drift gate
@@ -196,6 +197,48 @@ runKernelRows(std::vector<RowResult> &rows)
             sinkU64 = sinkU64 + r.scanned + r.bucketsVisited;
         }));
     }
+
+    // --- Dense: the transformer's dot, GEMM and attention scoring. --
+    for (uint32_t k : {16u, 128u, 256u}) {
+        const auto ab = randomKeys(2, k, 21);
+        rows.push_back(measureRow("dense", "dot k=" + std::to_string(k),
+                                  [&] {
+            sinkF32 = sinkF32 + kernels::active().dotF32(
+                                    ab.data(), ab.data() + k, k);
+        }));
+    }
+    // One tiny-model projection per shape: a 16-token frame block
+    // against a 128x128 weight, and one decode row against 256x128.
+    auto gemmRow = [&](const std::string &name, uint32_t m, uint32_t n,
+                       uint32_t k) {
+        const auto a = randomKeys(m, k, 22);
+        const auto w = randomKeys(n, k, 23);
+        std::vector<float> out(static_cast<size_t>(m) * n);
+        rows.push_back(measureRow("dense", name, [&] {
+            kernels::active().gemmRowsF32(a.data(), k, m, w.data(), k, n,
+                                          k, out.data(), n);
+            sinkF32 = sinkF32 + out[0];
+        }));
+    };
+    gemmRow("gemm 16x128*(128x128)T", 16, 128, 128);
+    gemmRow("gemv 1x128*(256x128)T", 1, 256, 128);
+    {
+        // One 16-wide head scored against 512 cached keys of a
+        // 64-wide KV row (the tiny model's 4 KV heads x 16).
+        const uint32_t n = 512, hd = 16, stride = 64;
+        const auto keys = randomKeys(n, stride, 24);
+        const auto q = randomKeys(1, hd, 25);
+        std::vector<uint32_t> idx(n);
+        for (uint32_t i = 0; i < n; ++i)
+            idx[i] = i;
+        std::vector<float> scores(n);
+        rows.push_back(measureRow("dense", "gather k=16 n=512", [&] {
+            kernels::active().dotGatherF32(q.data(), keys.data() + hd,
+                                           stride, idx.data(), n, hd,
+                                           scores.data());
+            sinkF32 = sinkF32 + scores[0];
+        }));
+    }
 }
 
 /** Info-gated baseline record for a context metric. */
@@ -283,8 +326,8 @@ reportRows(bench::Reporter &rep, const std::vector<RowResult> &rows)
             curPanel = r.panel;
             rep.beginPanel(
                 r.panel,
-                "DRE kernel: " + r.panel +
-                    " (ns/op per ISA + scalar/simd speedup)");
+                (r.panel == "dense" ? "Dense kernel: " : "DRE kernel: ") +
+                    r.panel + " (ns/op per ISA + scalar/simd speedup)");
             rep.note("ns values are host wall-clock (info only); the "
                      "dimensionless speedup ratios are what "
                      "bench/perf_baseline.json floor-gates.");

@@ -24,21 +24,24 @@ namespace
 
 // ---------------------------------------------------------------------
 // Scalar reference kernels. These define the semantics every SIMD
-// variant must reproduce bit-for-bit; hashEncodeScalar in particular
-// delegates to the same tensor dot() the pre-dispatch HashEncoder
-// called, so the dispatch layer introduced no numeric change.
+// variant must reproduce bit-for-bit. The dense float references live
+// in the tensor layer (detail::dotF32Scalar and friends).
 // ---------------------------------------------------------------------
 
 void
 hashEncodeScalar(const HashPlanes &p, const float *key, uint64_t *words)
 {
+    // One sequential sum per bit, not dot()'s 8-lane order: the
+    // encode contract pins this order (see kernels.hh).
     const uint32_t nwords = bitWords(p.nbits);
     std::fill(words, words + nwords, 0ull);
     for (uint32_t b = 0; b < p.nbits; ++b) {
-        if (dot(key, p.rows + static_cast<size_t>(b) * p.dim, p.dim) >
-            0.0f) {
+        const float *row = p.rows + static_cast<size_t>(b) * p.dim;
+        float s = 0.0f;
+        for (uint32_t j = 0; j < p.dim; ++j)
+            s += key[j] * row[j];
+        if (s > 0.0f)
             words[b >> 6] |= 1ull << (b & 63u);
-        }
     }
 }
 
@@ -76,6 +79,9 @@ const Ops kScalarOps = {
     &hashEncodeScalar,
     &minMaxF32Scalar,
     &rangeBitmapScalar,
+    &vrex::detail::dotF32Scalar,
+    &vrex::detail::gemmRowsF32Scalar,
+    &vrex::detail::dotGatherF32Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -90,10 +96,17 @@ install(const Ops *ops, Isa isa)
 {
     gActive.store(ops, std::memory_order_release);
     gActiveIsa.store(isa, std::memory_order_release);
-    // Route BitSig::hamming (common layer, cannot depend on core)
-    // through the same selection.
+    // Route BitSig::hamming (common layer) and the dense tensor
+    // kernels (tensor layer), which cannot depend on core, through
+    // the same selection.
     vrex::detail::bitsigHammingHook.store(ops->hammingWords,
                                           std::memory_order_release);
+    vrex::detail::dotF32Hook.store(ops->dotF32,
+                                   std::memory_order_release);
+    vrex::detail::gemmRowsF32Hook.store(ops->gemmRowsF32,
+                                        std::memory_order_release);
+    vrex::detail::dotGatherF32Hook.store(ops->dotGatherF32,
+                                         std::memory_order_release);
 }
 
 const Ops *
@@ -175,9 +188,9 @@ ensureInit()
 
 /**
  * Eager init: any binary that links a core object referencing the
- * dispatch layer gets the SIMD Hamming hook installed before main(),
- * so BitSig::hamming is dispatched even on paths that never call
- * active() themselves.
+ * dispatch layer gets the SIMD Hamming and dense hooks installed
+ * before main(), so BitSig::hamming, dot() and the dense matmul are
+ * dispatched even on paths that never call active() themselves.
  */
 [[maybe_unused]] const bool gKernelsEagerInit = ensureInit();
 

@@ -2,7 +2,8 @@
  * @file
  * Runtime-dispatched SIMD kernels for the DRE hot loops (paper §V:
  * the HCU XOR/popcount datapath, hash-bit generation, and the WTU
- * WiCSum sweep). One `Ops` table per instruction set — scalar always,
+ * WiCSum sweep) and for the transformer's dense float kernels (dot,
+ * GEMM, attention scoring). One `Ops` table per instruction set — scalar always,
  * AVX2 on x86-64, NEON on aarch64 — selected once at startup from
  * CPUID (x86) / compile target (arm), overridable for testing via the
  * `VREX_KERNELS=scalar|avx2|neon|auto` environment variable or
@@ -18,18 +19,35 @@
  *  - `minMaxF32`: min/max are value-exact regardless of evaluation
  *    order (inputs must be NaN-free, which the score pipeline
  *    guarantees).
+ *  - `dotF32`, `gemmRowsF32`, `dotGatherF32`: the canonical 8-lane FP
+ *    order of tensor `dot()` (see tensor/ops.hh). Lane l sums
+ *    a[8i+l] * b[8i+l] in i order, the ragged tail adds into the
+ *    first n % 8 lanes, and the fixed tree ((s0+s4)+(s2+s6)) +
+ *    ((s1+s5)+(s3+s7)) combines them. One 256-bit accumulator holds
+ *    exactly those eight lanes; the GEMM keeps four weight rows'
+ *    accumulators in registers and the gather four keys', but every
+ *    output element is still one canonical dot. The scalar entries
+ *    are the tensor layer's references, and the selected entries are
+ *    installed into tensor's hooks (`detail::dotF32Hook` and
+ *    friends), so `dot()`, `matmulTransposedGrouped()` and
+ *    attention scoring run them.
  *  - `hashEncode`: each signature bit is the sign of a float dot
- *    product. The SIMD variants assign one *bit* per lane and walk the
- *    key dimension sequentially, so every lane performs the same
- *    mul-then-add sequence, in the same order, at the same precision
- *    as the scalar `dot()` — identical rounding, identical sign. This
- *    requires unfused mul+add everywhere: the build compiles with
- *    `-ffp-contract=off` and the AVX2 translation unit additionally
- *    with `-mno-fma` (see the top-level CMakeLists).
+ *    product in its own *sequential* order (one running sum over the
+ *    key dimension), not the canonical 8-lane order, so the hash bits
+ *    do not depend on the dense kernels. The SIMD variants assign
+ *    one *bit* per lane and walk the key dimension sequentially, so
+ *    every lane performs the same mul-then-add sequence, in the same
+ *    order, at the same precision as the scalar loop — identical
+ *    rounding, identical sign.
+ *
+ * All float kernels require unfused mul+add everywhere: the build
+ * compiles with `-ffp-contract=off` and the AVX2 translation unit
+ * additionally with `-mno-fma` (see the top-level CMakeLists).
  *
  * The contract is locked by the scalar-vs-SIMD property suite in
  * tests/core_kernels_test.cc, which forces every compiled ISA over
- * widths 1..512 and adversarial bit patterns.
+ * many widths and adversarial bit patterns (±0, denormals, ±inf, NaN,
+ * large cancellation).
  *
  * ## Adding an ISA variant
  *
@@ -44,6 +62,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "tensor/ops.hh"
 
 namespace vrex::kernels
 {
@@ -75,7 +95,11 @@ struct HashPlanes
     uint32_t colStride;
 };
 
-/** One dispatch table: every kernel the DRE hot path consumes. */
+/**
+ * One dispatch table: every kernel the DRE hot path consumes, plus
+ * the dense float kernels under the transformer (dot, GEMM, attention
+ * scoring).
+ */
 struct Ops
 {
     const char *name;
@@ -106,6 +130,22 @@ struct Ops
      */
     void (*rangeBitmap)(const float *s, size_t n, double lower,
                         double upper, bool closedTop, uint64_t *bitmap);
+
+    /** Canonical 8-lane dot product (tensor dot()). */
+    vrex::detail::DotF32Fn dotF32;
+
+    /**
+     * The row-group body of matmulTransposedGrouped(): out[i][j] =
+     * dot(a row i, b row j), weight rows outer, batch rows inner.
+     */
+    vrex::detail::GemmRowsF32Fn gemmRowsF32;
+
+    /**
+     * One query scored against key rows given by index: out[i] =
+     * dot(q, base + idx[i] * stride) — attention's per-(head, query)
+     * scoring.
+     */
+    vrex::detail::DotGatherF32Fn dotGatherF32;
 };
 
 /** The scalar reference table (always compiled). */
@@ -114,7 +154,8 @@ const Ops &scalarOps();
 /**
  * The active table. First use resolves `VREX_KERNELS` (default: auto,
  * the widest compiled + runtime-supported ISA) and installs the
- * BitSig Hamming hook; afterwards this is one atomic load.
+ * BitSig Hamming hook and the tensor dense-kernel hooks; afterwards
+ * this is one atomic load.
  */
 const Ops &active();
 

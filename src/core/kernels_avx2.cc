@@ -7,10 +7,13 @@
  *
  * Numeric contract (see kernels.hh): hashEncode assigns one signature
  * bit per float lane and walks the key dimension sequentially with
- * unfused mul+add, so each lane reproduces the scalar dot() rounding
- * exactly. -mno-fma plus the global -ffp-contract=off guarantee the
- * compiler cannot fuse the mul/add intrinsics into an FMA. All other
- * kernels are integer or exact-predicate operations.
+ * unfused mul+add, so each lane reproduces the scalar encode loop's
+ * rounding exactly. The dense kernels (dot, GEMM, gather) hold the
+ * canonical order's eight lane sums in one 256-bit accumulator per
+ * output and combine them with the canonical tree. -mno-fma plus the
+ * global -ffp-contract=off guarantee the compiler cannot fuse the
+ * mul/add intrinsics into an FMA. All other kernels are integer or
+ * exact-predicate operations.
  */
 
 #include "core/kernels.hh"
@@ -83,7 +86,7 @@ hashEncodeAvx2(const HashPlanes &p, const float *key, uint64_t *words)
     for (uint32_t b0 = 0; b0 < blockEnd; b0 += kEncodeBlock) {
         // Lane k accumulates dot(key, plane_{b0+k}) in key-dimension
         // order: the same mul-then-add sequence per lane as the
-        // scalar dot(), hence the same rounding and the same sign.
+        // scalar encode loop, hence the same rounding and sign.
         __m256 acc = _mm256_setzero_ps();
         const float *col = p.cols + b0;
         for (uint32_t j = 0; j < p.dim; ++j) {
@@ -189,12 +192,146 @@ rangeBitmapAvx2(const float *s, size_t n, double lower, double upper,
     }
 }
 
+// ---------------------------------------------------------------------
+// Dense kernels in the canonical 8-lane order (tensor dot()). Lane l
+// of an accumulator sums a[8i+l] * b[8i+l] in i order. The ragged
+// tail is a zero-filled masked load: lanes >= n % 8 then add
+// +0 * +0 = +0, which leaves any lane sum unchanged (a sum that
+// starts at +0 is never -0 under round-to-nearest), so the tail adds
+// into exactly the first n % 8 lanes as the reference does.
+// ---------------------------------------------------------------------
+
+/** Load mask for the first @p rem lanes (rem < 8). */
+inline __m256i
+tailMask(uint32_t rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** t = [s0+s4, s1+s5, s2+s6, s3+s7]: the tree's first level. */
+inline __m128
+foldHalves(__m256 v)
+{
+    return _mm_add_ps(_mm256_castps256_ps128(v),
+                      _mm256_extractf128_ps(v, 1));
+}
+
+/** ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) of one accumulator. */
+inline float
+reduceCanonical(__m256 v)
+{
+    const __m128 t = foldHalves(v);
+    const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
+    return _mm_cvtss_f32(
+        _mm_add_ss(u, _mm_shuffle_ps(u, u, _MM_SHUFFLE(1, 1, 1, 1))));
+}
+
+/**
+ * The canonical tree of four accumulators at once: after the
+ * transpose, c_m holds first-level sum m of every accumulator, so
+ * lane r of the result is ((t0+t2)+(t1+t3)) of accumulator r.
+ */
+inline __m128
+reduceCanonical4(__m256 a0, __m256 a1, __m256 a2, __m256 a3)
+{
+    __m128 c0 = foldHalves(a0), c1 = foldHalves(a1),
+           c2 = foldHalves(a2), c3 = foldHalves(a3);
+    _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+    return _mm_add_ps(_mm_add_ps(c0, c2), _mm_add_ps(c1, c3));
+}
+
+inline __m256
+mulAdd(__m256 acc, __m256 x, __m256 y)
+{
+    return _mm256_add_ps(acc, _mm256_mul_ps(x, y));
+}
+
+float
+dotF32Avx2(const float *a, const float *b, uint32_t n)
+{
+    const uint32_t body = n & ~7u;
+    __m256 acc = _mm256_setzero_ps();
+    for (uint32_t i = 0; i < body; i += 8)
+        acc = mulAdd(acc, _mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
+    if (n & 7u) {
+        const __m256i m = tailMask(n & 7u);
+        acc = mulAdd(acc, _mm256_maskload_ps(a + body, m),
+                     _mm256_maskload_ps(b + body, m));
+    }
+    return reduceCanonical(acc);
+}
+
+/**
+ * Four canonical dots of @p x against @p b0..b3, written to o[0..3]:
+ * four independent accumulators, so the adds of four rows overlap.
+ */
+inline void
+dot4(const float *x, const float *b0, const float *b1, const float *b2,
+     const float *b3, uint32_t n, float *o)
+{
+    const uint32_t body = n & ~7u;
+    __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
+    for (uint32_t k = 0; k < body; k += 8) {
+        const __m256 xv = _mm256_loadu_ps(x + k);
+        s0 = mulAdd(s0, xv, _mm256_loadu_ps(b0 + k));
+        s1 = mulAdd(s1, xv, _mm256_loadu_ps(b1 + k));
+        s2 = mulAdd(s2, xv, _mm256_loadu_ps(b2 + k));
+        s3 = mulAdd(s3, xv, _mm256_loadu_ps(b3 + k));
+    }
+    if (n & 7u) {
+        const __m256i m = tailMask(n & 7u);
+        const __m256 xv = _mm256_maskload_ps(x + body, m);
+        s0 = mulAdd(s0, xv, _mm256_maskload_ps(b0 + body, m));
+        s1 = mulAdd(s1, xv, _mm256_maskload_ps(b1 + body, m));
+        s2 = mulAdd(s2, xv, _mm256_maskload_ps(b2 + body, m));
+        s3 = mulAdd(s3, xv, _mm256_maskload_ps(b3 + body, m));
+    }
+    _mm_storeu_ps(o, reduceCanonical4(s0, s1, s2, s3));
+}
+
+void
+gemmRowsF32Avx2(const float *a, size_t lda, uint32_t rows, const float *b,
+                size_t ldb, uint32_t cols, uint32_t k, float *out,
+                size_t ldo)
+{
+    // Weight rows outer, four at a time; batch rows inner, so the
+    // four weight rows stay in L1 for every row of the group.
+    uint32_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+        const float *b0 = b + j * ldb;
+        for (uint32_t i = 0; i < rows; ++i)
+            dot4(a + i * lda, b0, b0 + ldb, b0 + 2 * ldb, b0 + 3 * ldb, k,
+                 out + i * ldo + j);
+    }
+    for (; j < cols; ++j)
+        for (uint32_t i = 0; i < rows; ++i)
+            out[i * ldo + j] = dotF32Avx2(a + i * lda, b + j * ldb, k);
+}
+
+void
+dotGatherF32Avx2(const float *q, const float *base, size_t stride,
+                 const uint32_t *idx, size_t count, uint32_t n,
+                 float *out)
+{
+    size_t i = 0;
+    for (; i + 4 <= count; i += 4)
+        dot4(q, base + idx[i] * stride, base + idx[i + 1] * stride,
+             base + idx[i + 2] * stride, base + idx[i + 3] * stride, n,
+             out + i);
+    for (; i < count; ++i)
+        out[i] = dotF32Avx2(q, base + idx[i] * stride, n);
+}
+
 const Ops kAvx2Ops = {
     "avx2",
     &hammingWordsAvx2,
     &hashEncodeAvx2,
     &minMaxF32Avx2,
     &rangeBitmapAvx2,
+    &dotF32Avx2,
+    &gemmRowsF32Avx2,
+    &dotGatherF32Avx2,
 };
 
 } // namespace

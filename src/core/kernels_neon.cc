@@ -7,9 +7,10 @@
  * Numeric contract (see kernels.hh): hashEncode assigns one signature
  * bit per float lane and walks the key dimension sequentially with
  * *unfused* vmul+vadd — never vfma — and the whole project builds
- * with -ffp-contract=off, so each lane reproduces the scalar dot()
- * rounding exactly. The remaining kernels are integer or
- * exact-predicate operations.
+ * with -ffp-contract=off, so each lane reproduces the scalar
+ * hashEncode's sequential rounding exactly. minMax, Hamming and the
+ * range bitmap are integer or exact-predicate operations; the dense
+ * float kernels (dot, GEMM, gather) point at the scalar references.
  */
 
 #include "core/kernels.hh"
@@ -65,7 +66,7 @@ hashEncodeNeon(const HashPlanes &p, const float *key, uint64_t *words)
             const float *pj =
                 col + static_cast<size_t>(j) * p.colStride;
             // vmul + vadd kept separate: vfma would fuse the rounding
-            // step and break bit-identity with the scalar dot().
+            // step and break bit-identity with the scalar loop.
             acc0 = vaddq_f32(acc0, vmulq_f32(kj, vld1q_f32(pj)));
             acc1 = vaddq_f32(acc1, vmulq_f32(kj, vld1q_f32(pj + 4)));
         }
@@ -160,6 +161,11 @@ const Ops kNeonOps = {
     &hashEncodeNeon,
     &minMaxF32Neon,
     &rangeBitmapNeon,
+    // The dense kernels stay on the scalar references until a NEON
+    // variant can be verified on an aarch64 host.
+    &vrex::detail::dotF32Scalar,
+    &vrex::detail::gemmRowsF32Scalar,
+    &vrex::detail::dotGatherF32Scalar,
 };
 
 } // namespace

@@ -78,10 +78,11 @@ attendToken(const float *qv, const LayerKV &kv, uint32_t kv_off,
 
     s.scores.resize(s.attended.size());
     const float scale = 1.0f / std::sqrt((float)head_dim);
-    for (size_t i = 0; i < s.attended.size(); ++i) {
-        const float *kvec = kv.keys.row(s.attended[i]) + kv_off;
-        s.scores[i] = dot(qv, kvec, head_dim) * scale;
-    }
+    dotGather(qv, kv.keys.raw() + kv_off, kv.keys.cols(),
+              s.attended.data(), s.attended.size(), head_dim,
+              s.scores.data());
+    for (float &v : s.scores)
+        v *= scale;
     softmax(s.scores.data(),
             static_cast<uint32_t>(s.scores.size()));
 

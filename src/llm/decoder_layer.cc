@@ -105,15 +105,18 @@ DecoderLayer::forward(const ModelConfig &cfg,
     project(h, &DecoderLayer::wk, k);
     project(h, &DecoderLayer::wv, v);
 
+    // One cos/sin table per row serves all its query and key heads.
+    std::vector<float> rc(head_dim / 2), rs(head_dim / 2);
     for (uint32_t i = 0; i < n; ++i) {
         for (uint32_t r = row0[i]; r < row0[i + 1]; ++r) {
             const uint32_t pos = members[i].basePos + (r - row0[i]);
+            ropeAngles(head_dim, pos, cfg.ropeTheta, rc.data(), rs.data());
             for (uint32_t hh = 0; hh < cfg.nHeads; ++hh)
-                applyRope(q.row(r) + hh * head_dim, head_dim, pos,
-                          cfg.ropeTheta);
+                applyRopeAngles(q.row(r) + hh * head_dim, head_dim,
+                                rc.data(), rs.data());
             for (uint32_t hh = 0; hh < cfg.nKvHeads; ++hh)
-                applyRope(k.row(r) + hh * head_dim, head_dim, pos,
-                          cfg.ropeTheta);
+                applyRopeAngles(k.row(r) + hh * head_dim, head_dim,
+                                rc.data(), rs.data());
         }
     }
 

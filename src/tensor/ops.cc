@@ -8,6 +8,48 @@
 namespace vrex
 {
 
+namespace detail
+{
+
+float
+dotF32Scalar(const float *a, const float *b, uint32_t n)
+{
+    float s[8] = {};
+    const uint32_t body = n & ~7u;
+    for (uint32_t i = 0; i < body; i += 8)
+        for (uint32_t l = 0; l < 8; ++l)
+            s[l] += a[i + l] * b[i + l];
+    for (uint32_t i = body; i < n; ++i)
+        s[i - body] += a[i] * b[i];
+    return ((s[0] + s[4]) + (s[2] + s[6])) +
+        ((s[1] + s[5]) + (s[3] + s[7]));
+}
+
+void
+gemmRowsF32Scalar(const float *a, size_t lda, uint32_t rows,
+                  const float *b, size_t ldb, uint32_t cols, uint32_t k,
+                  float *out, size_t ldo)
+{
+    for (uint32_t j = 0; j < cols; ++j)
+        for (uint32_t i = 0; i < rows; ++i)
+            out[i * ldo + j] = dotF32Scalar(a + i * lda, b + j * ldb, k);
+}
+
+void
+dotGatherF32Scalar(const float *q, const float *base, size_t stride,
+                   const uint32_t *idx, size_t count, uint32_t n,
+                   float *out)
+{
+    for (size_t i = 0; i < count; ++i)
+        out[i] = dotF32Scalar(q, base + idx[i] * stride, n);
+}
+
+std::atomic<DotF32Fn> dotF32Hook{&dotF32Scalar};
+std::atomic<GemmRowsF32Fn> gemmRowsF32Hook{&gemmRowsF32Scalar};
+std::atomic<DotGatherF32Fn> dotGatherF32Hook{&dotGatherF32Scalar};
+
+} // namespace detail
+
 void
 matmulTransposedGrouped(const Matrix &a,
                         const std::vector<RowGroup> &groups,
@@ -27,35 +69,11 @@ matmulTransposedGrouped(const Matrix &a,
                         g.rowEnd <= a.rows(),
                     "grouped matmulT groups must tile the rows");
         next_row = g.rowEnd;
-        // Weight rows outer, batch row inner: streamed weight rows
-        // serve every row of the group. Four weight rows at a time
-        // give four independent sums, so the adds overlap instead of
-        // waiting on one chain; each sum is still dot()'s sequential
-        // sum, so every element keeps its bytes.
-        const uint32_t n = a.cols(), m = g.bT->rows();
-        uint32_t j = 0;
-        for (; j + 4 <= m; j += 4) {
-            const float *b0 = g.bT->row(j), *b1 = g.bT->row(j + 1),
-                        *b2 = g.bT->row(j + 2), *b3 = g.bT->row(j + 3);
-            for (uint32_t i = g.rowBegin; i < g.rowEnd; ++i) {
-                const float *x = a.row(i);
-                float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-                for (uint32_t k = 0; k < n; ++k) {
-                    s0 += x[k] * b0[k];
-                    s1 += x[k] * b1[k];
-                    s2 += x[k] * b2[k];
-                    s3 += x[k] * b3[k];
-                }
-                float *o = out.row(i) + j;
-                o[0] = s0;
-                o[1] = s1;
-                o[2] = s2;
-                o[3] = s3;
-            }
-        }
-        for (; j < m; ++j)
-            for (uint32_t i = g.rowBegin; i < g.rowEnd; ++i)
-                out.row(i)[j] = dot(a.row(i), g.bT->row(j), n);
+        if (g.rowEnd > g.rowBegin)
+            detail::gemmRowsF32Hook.load(std::memory_order_relaxed)(
+                a.row(g.rowBegin), a.cols(), g.rowEnd - g.rowBegin,
+                g.bT->raw(), g.bT->cols(), g.bT->rows(), a.cols(),
+                out.row(g.rowBegin), out.cols());
     }
     VREX_ASSERT(next_row == a.rows(),
                 "grouped matmulT groups must cover every row");
@@ -137,20 +155,39 @@ addInPlace(float *x, const float *y, uint32_t n)
 }
 
 void
-applyRope(float *head, uint32_t dim, uint32_t pos, float thetaBase)
+ropeAngles(uint32_t dim, uint32_t pos, float thetaBase, float *c,
+           float *s)
+{
+    VREX_ASSERT(dim % 2 == 0, "RoPE needs an even head dimension");
+    for (uint32_t i = 0; i < dim / 2; ++i) {
+        float freq = std::pow(thetaBase,
+                              -2.0f * static_cast<float>(i) / dim);
+        float angle = static_cast<float>(pos) * freq;
+        c[i] = std::cos(angle);
+        s[i] = std::sin(angle);
+    }
+}
+
+void
+applyRopeAngles(float *head, uint32_t dim, const float *c,
+                const float *s)
 {
     VREX_ASSERT(dim % 2 == 0, "RoPE needs an even head dimension");
     const uint32_t half = dim / 2;
     for (uint32_t i = 0; i < half; ++i) {
-        float freq = std::pow(thetaBase,
-                              -2.0f * static_cast<float>(i) / dim);
-        float angle = static_cast<float>(pos) * freq;
-        float c = std::cos(angle), s = std::sin(angle);
         float x0 = head[i];
         float x1 = head[i + half];
-        head[i] = x0 * c - x1 * s;
-        head[i + half] = x0 * s + x1 * c;
+        head[i] = x0 * c[i] - x1 * s[i];
+        head[i + half] = x0 * s[i] + x1 * c[i];
     }
+}
+
+void
+applyRope(float *head, uint32_t dim, uint32_t pos, float thetaBase)
+{
+    std::vector<float> c(dim / 2), s(dim / 2);
+    ropeAngles(dim, pos, thetaBase, c.data(), s.data());
+    applyRopeAngles(head, dim, c.data(), s.data());
 }
 
 void
@@ -169,15 +206,6 @@ applyRopeInverse(float *head, uint32_t dim, uint32_t pos,
         head[i] = x0 * c - x1 * s;
         head[i + half] = x0 * s + x1 * c;
     }
-}
-
-float
-dot(const float *a, const float *b, uint32_t n)
-{
-    float s = 0.0f;
-    for (uint32_t i = 0; i < n; ++i)
-        s += a[i] * b[i];
-    return s;
 }
 
 float

@@ -8,6 +8,8 @@
 #ifndef VREX_TENSOR_OPS_HH
 #define VREX_TENSOR_OPS_HH
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +17,52 @@
 
 namespace vrex
 {
+
+namespace detail
+{
+
+/** Canonical 8-lane dot kernel (see dot() for the order). */
+using DotF32Fn = float (*)(const float *a, const float *b, uint32_t n);
+
+/**
+ * Row-group GEMM kernel: out[i * ldo + j] = dot(a + i * lda,
+ * b + j * ldb, k) for i < rows, j < cols, every element one
+ * canonical dot.
+ */
+using GemmRowsF32Fn = void (*)(const float *a, size_t lda, uint32_t rows,
+                               const float *b, size_t ldb, uint32_t cols,
+                               uint32_t k, float *out, size_t ldo);
+
+/**
+ * Gathered scoring kernel: out[i] = dot(q, base + idx[i] * stride, n)
+ * for i < count, every score one canonical dot.
+ */
+using DotGatherF32Fn = void (*)(const float *q, const float *base,
+                                size_t stride, const uint32_t *idx,
+                                size_t count, uint32_t n, float *out);
+
+/** Scalar references: they define the canonical order's bits. */
+float dotF32Scalar(const float *a, const float *b, uint32_t n);
+void gemmRowsF32Scalar(const float *a, size_t lda, uint32_t rows,
+                       const float *b, size_t ldb, uint32_t cols,
+                       uint32_t k, float *out, size_t ldo);
+void dotGatherF32Scalar(const float *q, const float *base, size_t stride,
+                        const uint32_t *idx, size_t count, uint32_t n,
+                        float *out);
+
+/**
+ * Active dense kernels. They default to the scalar references; the
+ * core/kernels dispatch layer installs the runtime-selected SIMD
+ * variants at init (or when a test forces an ISA), the way it
+ * installs bitsigHammingHook. Relaxed atomics, for the same reason:
+ * every installed variant is bit-identical to the reference, so any
+ * interleaving of a swap with a call computes the same value.
+ */
+extern std::atomic<DotF32Fn> dotF32Hook;
+extern std::atomic<GemmRowsF32Fn> gemmRowsF32Hook;
+extern std::atomic<DotGatherF32Fn> dotGatherF32Hook;
+
+} // namespace detail
 
 /**
  * One contiguous run of `a` rows sharing a weight matrix in
@@ -31,11 +79,14 @@ struct RowGroup
 /**
  * Row-grouped out = a * b^T: every group's rows multiply against
  * that group's weight matrix (all groups must agree on bT shape).
- * Each output element is bit-identical to one dot() of an `a` row
- * and a weight row; the loop runs weight rows outer (four at a time,
- * as four independent sequential sums), batch row inner, so streamed
- * weight rows serve every row of their group. This is the one dense
- * kernel under both block prefill and cross-session generation.
+ * Each group runs through the dispatched GEMM kernel
+ * (detail::gemmRowsF32Hook): weight rows outer, four at a time with
+ * eight lanes each in registers, batch row inner, so streamed weight
+ * rows serve every row of their group. Each output element is
+ * bit-identical to one dot() of an `a` row and a weight row, so no
+ * row's bytes depend on its group or its peers. This is the one
+ * dense kernel under both block prefill and cross-session
+ * generation.
  */
 void matmulTransposedGrouped(const Matrix &a,
                              const std::vector<RowGroup> &groups,
@@ -73,16 +124,54 @@ void addInPlace(float *x, const float *y, uint32_t n);
 /**
  * Apply rotary position embedding to one head vector of even length
  * @p dim at sequence position @p pos (llama convention, theta=10000).
+ * Equal to ropeAngles() followed by applyRopeAngles().
  */
 void applyRope(float *head, uint32_t dim, uint32_t pos,
                float thetaBase = 10000.0f);
+
+/**
+ * The cos/sin of every RoPE angle at position @p pos: @p c and @p s
+ * each receive dim / 2 values. Compute them once per row and apply
+ * them to every head of that row.
+ */
+void ropeAngles(uint32_t dim, uint32_t pos, float thetaBase, float *c,
+                float *s);
+
+/** Rotate one head of even length @p dim by precomputed angles. */
+void applyRopeAngles(float *head, uint32_t dim, const float *c,
+                     const float *s);
 
 /** Invert applyRope (rotate by the negative angle). */
 void applyRopeInverse(float *head, uint32_t dim, uint32_t pos,
                       float thetaBase = 10000.0f);
 
-/** Dot product of two float vectors. */
-float dot(const float *a, const float *b, uint32_t n);
+/**
+ * Dot product of two float vectors, in the canonical 8-lane order
+ * that every dense kernel shares: lane l sums a[8i+l] * b[8i+l]
+ * (unfused multiply, then add) over the full blocks; the ragged tail
+ * i >= n & ~7 adds into lanes 0..(n % 8) - 1; a fixed tree combines
+ * the lanes, ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)). Dispatched
+ * through detail::dotF32Hook; every variant matches
+ * detail::dotF32Scalar bit for bit.
+ */
+inline float
+dot(const float *a, const float *b, uint32_t n)
+{
+    return detail::dotF32Hook.load(std::memory_order_relaxed)(a, b, n);
+}
+
+/**
+ * Score one query against gathered rows: out[i] = dot(q, base +
+ * idx[i] * stride, n) for i < count. Dispatched through
+ * detail::dotGatherF32Hook; each score is bit-identical to dot().
+ */
+inline void
+dotGather(const float *q, const float *base, size_t stride,
+          const uint32_t *idx, size_t count, uint32_t n, float *out)
+{
+    detail::dotGatherF32Hook.load(std::memory_order_relaxed)(
+        q, base, stride, idx, count, n, out);
+}
 
 /** L2 norm. */
 float norm2(const float *a, uint32_t n);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Property suite locking the bit-identical contract of the runtime-
- * dispatched DRE kernels (core/kernels): every compiled ISA variant
- * must produce output exactly equal to the scalar reference — for the
- * raw kernels, and end-to-end through BitSig / HashEncoder / HCTable /
- * WiCSum. Also covers the dispatch plumbing itself (selection,
+ * dispatched kernels (core/kernels): every compiled ISA variant must
+ * produce output exactly equal to the scalar reference — for the raw
+ * DRE and dense kernels, end-to-end through BitSig / HashEncoder /
+ * HCTable / WiCSum, and through a whole ReSV streaming session. Also covers the dispatch plumbing itself (selection,
  * overrides, unavailable ISAs) and the hardening added alongside it
  * (width-mismatch assert, debug bounds asserts, bitWords overflow).
  */
@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,8 +23,11 @@
 #include "core/hash_encoder.hh"
 #include "core/hc_table.hh"
 #include "core/kernels.hh"
+#include "core/resv.hh"
 #include "core/wicsum.hh"
+#include "pipeline/streaming_session.hh"
 #include "tensor/matrix.hh"
+#include "tensor/ops.hh"
 #include "testutil.hh"
 
 using namespace vrex;
@@ -412,6 +418,243 @@ TEST_F(CoreKernelsTest, HCTableCrossIsaEquivalence)
         run(isa, got);
         EXPECT_EQ(got, want) << "isa=" << kernels::isaName(isa);
     }
+}
+
+// ---------------------------------------------------------------------
+// Dense kernels (dot, GEMM, gather): every ISA == the tensor scalar
+// reference of the canonical 8-lane order, bit for bit.
+// ---------------------------------------------------------------------
+
+const uint32_t kDenseWidths[] = {0,  1,  7,   8,   9,   15,  16,
+                                 17, 31, 128, 255, 256, 1027};
+
+/** Value families the dense kernels must agree on. */
+enum class Fill
+{
+    Gaussian,
+    Specials,     // ±0, denormals, ±inf, NaN, huge and tiny values.
+    Denormals,    // Finite: denormal products and sums next to ±1.
+    Cancelling,   // Finite ±1e20-scale terms next to ±1: rounding-
+                  // sensitive sums whose order decides the result.
+    SignedZeros,  // Only ±0: the result's sign of zero must match.
+};
+
+const Fill kFills[] = {Fill::Gaussian, Fill::Specials, Fill::Denormals,
+                       Fill::Cancelling, Fill::SignedZeros};
+
+std::vector<float>
+denseValues(Rng &rng, size_t n, Fill fill)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {
+        0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), 1e-39f, -3e-39f,
+        std::numeric_limits<float>::min(), inf, -inf,
+        std::numeric_limits<float>::quiet_NaN(), 1.0f, -1.0f,
+        3.0e38f, -3.0e38f};
+    const float denormals[] = {
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), 1e-39f, -3e-39f,
+        std::numeric_limits<float>::min(), 0.0f, -0.0f, 1.0f, -0.5f};
+    const float cancelling[] = {1e20f, -1e20f, 1.0f, -1.0f, 3.0f,
+                                1e-3f, 7e19f, -7e19f};
+    std::vector<float> v(n);
+    for (float &x : v) {
+        switch (fill) {
+          case Fill::Gaussian:
+            x = static_cast<float>(rng.gaussian());
+            break;
+          case Fill::Specials:
+            x = specials[rng.uniformInt(std::size(specials))];
+            break;
+          case Fill::Denormals:
+            x = denormals[rng.uniformInt(std::size(denormals))];
+            break;
+          case Fill::Cancelling:
+            x = cancelling[rng.uniformInt(std::size(cancelling))];
+            break;
+          case Fill::SignedZeros:
+            x = rng.uniformInt(2) ? 0.0f : -0.0f;
+            break;
+        }
+    }
+    return v;
+}
+
+/** Bit-equal, or both NaN (NaN payloads are not part of the contract:
+ *  IEEE leaves the choice between two NaN operands open). */
+bool
+sameFloat(float a, float b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b);
+    uint32_t ua, ub;
+    std::memcpy(&ua, &a, sizeof(ua));
+    std::memcpy(&ub, &b, sizeof(ub));
+    return ua == ub;
+}
+
+TEST_F(CoreKernelsTest, DenseDotEquivalence)
+{
+    const auto ops = runnableOps();
+    for (Fill fill : kFills) {
+        for (uint32_t n : kDenseWidths) {
+            for (int rep = 0; rep < 8; ++rep) {
+                const auto a = denseValues(rng, n, fill);
+                const auto b = denseValues(rng, n, fill);
+                const float want =
+                    detail::dotF32Scalar(a.data(), b.data(), n);
+                for (const auto &[isa, table] : ops) {
+                    const float got = table->dotF32(a.data(), b.data(), n);
+                    EXPECT_TRUE(sameFloat(got, want))
+                        << "isa=" << kernels::isaName(isa) << " n=" << n
+                        << " fill=" << static_cast<int>(fill) << " got "
+                        << got << " want " << want;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(CoreKernelsTest, DenseGemmRowsEquivalence)
+{
+    const auto ops = runnableOps();
+    const float poison = -12345.0f;
+    for (Fill fill : kFills) {
+        for (uint32_t k : kDenseWidths) {
+            for (uint32_t rows : {1u, 2u, 3u, 5u, 16u}) {
+                for (uint32_t cols = 1; cols <= 9; ++cols) {
+                    // Padded strides: the kernel must honour lda/ldb/ldo
+                    // and leave the padding of `out` untouched.
+                    const size_t lda = k + 3, ldb = k + 5, ldo = cols + 2;
+                    const auto a = denseValues(rng, rows * lda, fill);
+                    const auto b = denseValues(rng, cols * ldb, fill);
+                    std::vector<float> want(rows * ldo, poison);
+                    detail::gemmRowsF32Scalar(a.data(), lda, rows,
+                                              b.data(), ldb, cols, k,
+                                              want.data(), ldo);
+                    for (uint32_t i = 0; i < rows; ++i)
+                        for (uint32_t j = 0; j < cols; ++j)
+                            ASSERT_TRUE(sameFloat(
+                                want[i * ldo + j],
+                                detail::dotF32Scalar(a.data() + i * lda,
+                                                     b.data() + j * ldb,
+                                                     k)));
+                    for (const auto &[isa, table] : ops) {
+                        std::vector<float> got(rows * ldo, poison);
+                        table->gemmRowsF32(a.data(), lda, rows, b.data(),
+                                           ldb, cols, k, got.data(), ldo);
+                        for (size_t e = 0; e < got.size(); ++e)
+                            ASSERT_TRUE(sameFloat(got[e], want[e]))
+                                << "isa=" << kernels::isaName(isa)
+                                << " k=" << k << " rows=" << rows
+                                << " cols=" << cols << " elem=" << e;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(CoreKernelsTest, DenseDotGatherEquivalence)
+{
+    const auto ops = runnableOps();
+    const uint32_t nKeys = 40;
+    for (Fill fill : kFills) {
+        for (uint32_t n : kDenseWidths) {
+            // Keys sit at a column offset inside wider rows, as one
+            // head's slice of a KV cache row does.
+            const size_t offset = 3, stride = n + 11;
+            const auto keys = denseValues(rng, nKeys * stride, fill);
+            const auto q = denseValues(rng, n, fill);
+            for (size_t count : {size_t(0), size_t(1), size_t(3),
+                                 size_t(4), size_t(5), size_t(9),
+                                 size_t(37)}) {
+                std::vector<uint32_t> idx(count);
+                for (uint32_t &i : idx)  // Repeats and any order.
+                    i = static_cast<uint32_t>(rng.uniformInt(nKeys));
+                std::vector<float> want(count + 1, -1.0f);
+                detail::dotGatherF32Scalar(q.data(), keys.data() + offset,
+                                           stride, idx.data(), count, n,
+                                           want.data());
+                for (size_t i = 0; i < count; ++i)
+                    ASSERT_TRUE(sameFloat(
+                        want[i],
+                        detail::dotF32Scalar(q.data(),
+                                             keys.data() + offset +
+                                                 idx[i] * stride,
+                                             n)));
+                for (const auto &[isa, table] : ops) {
+                    std::vector<float> got(count + 1, -1.0f);
+                    table->dotGatherF32(q.data(), keys.data() + offset,
+                                        stride, idx.data(), count, n,
+                                        got.data());
+                    for (size_t i = 0; i <= count; ++i)
+                        ASSERT_TRUE(sameFloat(got[i], want[i]))
+                            << "isa=" << kernels::isaName(isa)
+                            << " n=" << n << " count=" << count
+                            << " i=" << i;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(CoreKernelsTest, DenseHooksFollowTheSelection)
+{
+    const auto a = denseValues(rng, 1027, Fill::Gaussian);
+    const auto b = denseValues(rng, 1027, Fill::Gaussian);
+    const float want = detail::dotF32Scalar(a.data(), b.data(), 1027);
+    for (kernels::Isa isa : runnableIsas()) {
+        ForcedIsa guard(isa);
+        ASSERT_TRUE(guard.ok());
+        EXPECT_EQ(detail::dotF32Hook.load(), kernels::active().dotF32);
+        EXPECT_EQ(detail::gemmRowsF32Hook.load(),
+                  kernels::active().gemmRowsF32);
+        EXPECT_EQ(detail::dotGatherF32Hook.load(),
+                  kernels::active().dotGatherF32);
+        EXPECT_TRUE(sameFloat(dot(a.data(), b.data(), 1027), want))
+            << kernels::isaName(isa);
+    }
+}
+
+/** Tokens and blob of one tiny ReSV session under the active ISA. */
+std::pair<std::vector<uint32_t>, std::vector<uint8_t>>
+resvSessionRun()
+{
+    const ModelConfig model = ModelConfig::tiny();
+    ResvPolicy policy(model, ResvConfig{});
+    StreamingSession s(model, &policy, 13);
+    s.begin("isa-identity", VideoConfig{}, 5);
+    for (int f = 0; f < 6; ++f)
+        s.feedFrame();
+    s.feedQuestion(12);
+    s.generate(10);
+    for (int f = 0; f < 3; ++f)
+        s.feedFrame();
+    s.feedQuestion(7);
+    s.generate(6);
+    return {s.snapshot().generated, s.serialize()};
+}
+
+TEST(CoreKernelsSessionTest, ScalarAndAvx2SessionsAreByteIdentical)
+{
+    if (!kernels::isaAvailable(kernels::Isa::Avx2))
+        GTEST_SKIP() << "AVX2 not compiled or not supported here";
+    std::pair<std::vector<uint32_t>, std::vector<uint8_t>> scalar, avx2;
+    {
+        ForcedIsa guard(kernels::Isa::Scalar);
+        ASSERT_TRUE(guard.ok());
+        scalar = resvSessionRun();
+    }
+    {
+        ForcedIsa guard(kernels::Isa::Avx2);
+        ASSERT_TRUE(guard.ok());
+        avx2 = resvSessionRun();
+    }
+    ASSERT_EQ(scalar.first.size(), 16u);
+    EXPECT_EQ(avx2.first, scalar.first);
+    EXPECT_EQ(avx2.second, scalar.second);
 }
 
 // ---------------------------------------------------------------------

@@ -192,6 +192,47 @@ TEST(Ops, RopeRelativePropertyDotDependsOnDistance)
     EXPECT_NEAR(dot_at(10, 10), dot_at(3, 3), 1e-3f);
 }
 
+// dot()'s contract is the canonical 8-lane order, not a running sum.
+// These inputs round differently under the two, and the expected
+// value is the lane sums and fixed tree written out by hand, so the
+// order cannot drift without this test noticing.
+TEST(Ops, DotFollowsCanonicalEightLaneOrder)
+{
+    // n = 11: one full block plus a ragged tail of three.
+    const float a[11] = {1e8f, 1, 1, 1, -1e8f, 1, 1, 1, 1, 1, 1};
+    const float b[11] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
+
+    float seq = 0.0f;
+    for (int i = 0; i < 11; ++i)
+        seq += a[i] * b[i];
+
+    // Lanes: s_l = a[l] * b[l], then the tail adds a[8 + l] * b[8 + l]
+    // into lanes 0..2.
+    const float s0 = 1e8f + 1.0f, s1 = 1.0f + 1.0f, s2 = 1.0f + 1.0f;
+    const float s3 = 1.0f, s4 = -1e8f, s5 = 1.0f, s6 = 1.0f, s7 = 1.0f;
+    const float tree = ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7));
+
+    // Sequentially the three 1s added onto 1e8 are absorbed; in lanes
+    // only the tail's 1 in lane 0 is.
+    EXPECT_EQ(seq, 6.0f);
+    EXPECT_EQ(tree, 8.0f);
+    EXPECT_EQ(dot(a, b, 11), tree);
+    EXPECT_EQ(detail::dotF32Scalar(a, b, 11), tree);
+
+    // The tree, not a left-to-right fold of the lanes: with the big
+    // pair in lanes 0 and 1, a fold cancels it first and keeps the
+    // ones (6), while the tree adds ones onto each big lane and loses
+    // them (0).
+    const float c[8] = {1e8f, -1e8f, 1, 1, 1, 1, 1, 1};
+    const float lanes = ((c[0] + c[4]) + (c[2] + c[6])) +
+        ((c[1] + c[5]) + (c[3] + c[7]));
+    float fold = 0.0f;
+    for (float x : c)
+        fold += x;
+    EXPECT_NE(lanes, fold);
+    EXPECT_EQ(dot(c, b, 8), lanes);
+}
+
 TEST(Ops, CosineSimilarity)
 {
     float a[3] = {1, 0, 0}, b[3] = {0, 1, 0}, c[3] = {2, 0, 0};
