@@ -63,77 +63,6 @@ ResvPolicy::select(uint32_t layer, const Matrix &q, const KVCache &cache,
         return LayerSelection::full(model.nKvHeads);
     ctr.pastTokens += static_cast<uint64_t>(past_len) * model.nKvHeads;
 
-    return cfg.clustering
-        ? selectClustered(layer, q, past_len, ctr)
-        : selectUnclustered(layer, q, cache, past_len, ctr);
-}
-
-LayerSelection
-ResvPolicy::selectClustered(uint32_t layer, const Matrix &q,
-                            uint32_t past_len, ResvCounters &ctr)
-{
-    const uint32_t head_dim = model.headDim();
-    const uint32_t group = model.groupSize();
-    const float scale = 1.0f / std::sqrt((float)head_dim);
-    LayerSelection sel;
-    sel.kvHeads.resize(model.nKvHeads);
-
-    for (uint32_t kv_head = 0; kv_head < model.nKvHeads; ++kv_head) {
-        const HCTable &tab = tables[layer * model.nKvHeads + kv_head];
-        const auto &clusters = tab.clusters();
-        HeadSelection &hsel = sel.kvHeads[kv_head];
-        hsel.selectAll = false;
-        if (clusters.empty())
-            continue;
-
-        // Score_cluster: max over the head group's queries and the
-        // block's query tokens (each query token needs its own
-        // entries; max pooling unions their demands).
-        std::vector<float> raw(clusters.size(),
-                               -std::numeric_limits<float>::infinity());
-        std::vector<uint32_t> counts(clusters.size(), 0);
-        for (uint32_t c = 0; c < clusters.size(); ++c) {
-            const float *centroid = clusters[c].centroid.data();
-            for (uint32_t g = 0; g < group; ++g) {
-                const uint32_t q_off =
-                    (kv_head * group + g) * head_dim;
-                for (uint32_t t = 0; t < q.rows(); ++t) {
-                    float s = dot(q.row(t) + q_off, centroid,
-                                  head_dim) * scale;
-                    raw[c] = std::max(raw[c], s);
-                }
-            }
-            counts[c] = clusters[c].tokenCount();
-        }
-        ctr.predictionMacs += static_cast<uint64_t>(clusters.size()) *
-            head_dim * group * q.rows();
-        ctr.clustersScanned += clusters.size();
-
-        std::vector<float> scores = expNormalize(raw);
-        WicsumResult picked = cfg.earlyExit
-            ? wicsumSelectEarlyExit(scores, counts, cfg.thrWics,
-                                    cfg.nBuckets)
-            : wicsumSelectReference(scores, counts, cfg.thrWics);
-        ctr.wicsumScanned += picked.scanned;
-        ctr.clustersSelected += picked.selected.size();
-
-        for (uint32_t c : picked.selected) {
-            for (uint32_t token : clusters[c].tokenIdx) {
-                if (token < past_len)
-                    hsel.indices.push_back(token);
-            }
-        }
-        std::sort(hsel.indices.begin(), hsel.indices.end());
-        ctr.tokensSelected += hsel.indices.size();
-    }
-    return sel;
-}
-
-LayerSelection
-ResvPolicy::selectUnclustered(uint32_t layer, const Matrix &q,
-                              const KVCache &cache, uint32_t past_len,
-                              ResvCounters &ctr)
-{
     const uint32_t head_dim = model.headDim();
     const uint32_t group = model.groupSize();
     const float scale = 1.0f / std::sqrt((float)head_dim);
@@ -142,42 +71,64 @@ ResvPolicy::selectUnclustered(uint32_t layer, const Matrix &q,
     sel.kvHeads.resize(model.nKvHeads);
 
     for (uint32_t kv_head = 0; kv_head < model.nKvHeads; ++kv_head) {
+        const auto &clusters =
+            tables[layer * model.nKvHeads + kv_head].clusters();
         HeadSelection &hsel = sel.kvHeads[kv_head];
         hsel.selectAll = false;
-        const uint32_t off = kv_head * head_dim;
 
-        std::vector<float> raw(past_len,
+        // Candidates: the head's clusters (centroid, size), or, for
+        // Fig. 19 "w/o clustering", every past key as a cluster of one.
+        std::vector<const float *> vecs;
+        std::vector<uint32_t> counts;
+        if (cfg.clustering) {
+            for (const auto &cluster : clusters) {
+                vecs.push_back(cluster.centroid.data());
+                counts.push_back(cluster.tokenCount());
+            }
+        } else {
+            for (uint32_t token = 0; token < past_len; ++token)
+                vecs.push_back(keys.row(token) + kv_head * head_dim);
+            counts.assign(past_len, 1);
+        }
+        if (vecs.empty())
+            continue;
+
+        // Score: max over the head group's queries and the block's
+        // query tokens (each query token needs its own entries; max
+        // pooling unions their demands).
+        std::vector<float> raw(vecs.size(),
                                -std::numeric_limits<float>::infinity());
-        std::vector<uint32_t> counts(past_len, 1);
-        for (uint32_t token = 0; token < past_len; ++token) {
-            const float *key = keys.row(token) + off;
+        for (uint32_t c = 0; c < vecs.size(); ++c) {
             for (uint32_t g = 0; g < group; ++g) {
                 const uint32_t q_off =
                     (kv_head * group + g) * head_dim;
                 for (uint32_t t = 0; t < q.rows(); ++t) {
-                    float s = dot(q.row(t) + q_off, key, head_dim) *
+                    float s = dot(q.row(t) + q_off, vecs[c], head_dim) *
                         scale;
-                    raw[token] = std::max(raw[token], s);
+                    raw[c] = std::max(raw[c], s);
                 }
             }
         }
-        ctr.predictionMacs += static_cast<uint64_t>(past_len) *
+        ctr.predictionMacs += static_cast<uint64_t>(vecs.size()) *
             head_dim * group * q.rows();
-        ctr.clustersScanned += past_len;
+        ctr.clustersScanned += vecs.size();
 
-        std::vector<float> scores = expNormalize(raw);
-        WicsumResult picked = cfg.earlyExit
-            ? wicsumSelectEarlyExit(scores, counts, cfg.thrWics,
-                                    cfg.nBuckets)
-            : wicsumSelectReference(scores, counts, cfg.thrWics);
+        WicsumResult picked = wicsumSelectEarlyExit(
+            expNormalize(raw), counts, cfg.thrWics, cfg.nBuckets);
         ctr.wicsumScanned += picked.scanned;
         ctr.clustersSelected += picked.selected.size();
 
-        hsel.indices = picked.selected;
+        if (cfg.clustering) {
+            for (uint32_t c : picked.selected)
+                for (uint32_t token : clusters[c].tokenIdx)
+                    if (token < past_len)
+                        hsel.indices.push_back(token);
+        } else {
+            hsel.indices = picked.selected;
+        }
         std::sort(hsel.indices.begin(), hsel.indices.end());
         ctr.tokensSelected += hsel.indices.size();
     }
-    (void)layer;
     return sel;
 }
 

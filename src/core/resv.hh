@@ -32,7 +32,6 @@ struct ResvConfig
      *  the accuracy-proxy drop under 1% at the lowest ratios. */
     float thrWics = 0.5f;
     uint32_t nBuckets = 16;    //!< Early-exit sorter buckets.
-    bool earlyExit = true;     //!< Use the WTU bucket dataflow.
     bool clustering = true;    //!< false = Fig. 19 "w/o clustering".
     uint64_t seed = 7;         //!< Hyperplane seed.
 };
@@ -99,15 +98,6 @@ class ResvPolicy : public SelectionPolicy
 
   private:
     ResvCounters &countersFor(TokenStage stage);
-
-    LayerSelection selectClustered(uint32_t layer, const Matrix &q,
-                                   uint32_t past_len,
-                                   ResvCounters &ctr);
-
-    LayerSelection selectUnclustered(uint32_t layer, const Matrix &q,
-                                     const KVCache &cache,
-                                     uint32_t past_len,
-                                     ResvCounters &ctr);
 
     ModelConfig model;
     ResvConfig cfg;

@@ -109,9 +109,13 @@ KVCache::restore(serial::ByteReader &r)
             "KVCache::restore: blob has " + std::to_string(n_layers) +
             " layers, cache is configured for " +
             std::to_string(layers.size()));
+    const uint32_t kv_dim = cfg.nKvHeads * cfg.headDim();
     for (auto &l : layers) {
         l.keys = restoreMatrix(r);
         l.values = restoreMatrix(r);
+        if (l.keys.cols() != kv_dim || l.values.cols() != kv_dim)
+            throw serial::SerialError(
+                "KVCache::restore: K/V width is not nKvHeads * headDim");
     }
     const uint64_t n_meta = r.get<uint64_t>();
     // Each meta record is 9 payload bytes; reject a corrupted count
@@ -119,12 +123,20 @@ KVCache::restore(serial::ByteReader &r)
     if (n_meta > r.remaining() / 9)
         throw serial::SerialError(
             "KVCache::restore: truncated blob (meta count)");
+    // Attention reads one K/V row per token of every layer.
+    for (const auto &l : layers)
+        if (l.keys.rows() != n_meta || l.values.rows() != n_meta)
+            throw serial::SerialError(
+                "KVCache::restore: K/V rows differ from the token count");
     meta.clear();
     meta.reserve(static_cast<size_t>(n_meta));
     for (uint64_t i = 0; i < n_meta; ++i) {
         TokenMeta m;
         m.frameId = r.get<int32_t>();
-        m.stage = static_cast<TokenStage>(r.get<uint8_t>());
+        const uint8_t stage = r.get<uint8_t>();
+        if (stage > static_cast<uint8_t>(TokenStage::GeneratedText))
+            throw serial::SerialError("KVCache::restore: bad token stage");
+        m.stage = static_cast<TokenStage>(stage);
         m.position = r.get<uint32_t>();
         meta.push_back(m);
     }

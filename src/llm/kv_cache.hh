@@ -85,8 +85,9 @@ class KVCache
     /**
      * Serialize all layers, token metadata, and append-progress
      * counters. restore() expects this cache to be constructed with
-     * an identical ModelConfig geometry (layer count is validated;
-     * per-layer shapes come from the blob).
+     * an identical ModelConfig geometry: it refuses, with
+     * serial::SerialError, a blob whose layer count, K/V width, K/V
+     * row count (one row per cached token) or token stage differs.
      */
     void serialize(serial::ByteWriter &w) const;
     void restore(serial::ByteReader &r);

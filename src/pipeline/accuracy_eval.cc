@@ -14,7 +14,8 @@ evaluateFidelity(const ModelConfig &model, const SessionScript &script,
                  SelectionPolicy *policy, uint64_t seed)
 {
     // Both runs share one copy of the weights.
-    const auto weights = std::make_shared<const ModelWeights>(model, seed);
+    const auto weights =
+        std::make_shared<const SessionWeights>(model, seed);
 
     // Reference: full attention, free-running generation.
     StreamingSession ref_session(weights, nullptr);

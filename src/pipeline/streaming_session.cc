@@ -1,6 +1,7 @@
 #include "pipeline/streaming_session.hh"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.hh"
@@ -8,9 +9,21 @@
 namespace vrex
 {
 
+SessionWeights::SessionWeights(const ModelConfig &config, uint64_t seed)
+    : backbone(config, seed),
+      tower(VideoConfig{}.latentDim, std::max(32u, config.dModel / 4),
+            seed),
+      projector(tower.visionDim(), config.dModel, seed)
+{
+}
+
 StreamingSession::StreamingSession(
-    std::shared_ptr<const ModelWeights> weights, SelectionPolicy *policy)
-    : seed(weights->seed), llm(std::move(weights))
+    std::shared_ptr<const SessionWeights> session_weights,
+    SelectionPolicy *policy)
+    : weights(std::move(session_weights)),
+      // Aliasing pointer: the model shares the whole set's lifetime.
+      llm(std::shared_ptr<const ModelWeights>(weights,
+                                              &weights->backbone))
 {
     llm.setPolicy(policy);
 }
@@ -19,7 +32,7 @@ StreamingSession::StreamingSession(const ModelConfig &model_config,
                                    SelectionPolicy *policy,
                                    uint64_t seed_value)
     : StreamingSession(
-          std::make_shared<const ModelWeights>(model_config, seed_value),
+          std::make_shared<const SessionWeights>(model_config, seed_value),
           policy)
 {
 }
@@ -29,14 +42,14 @@ StreamingSession::begin(const std::string &name,
                         const VideoConfig &video, uint64_t script_seed,
                         std::vector<uint32_t> forced_tokens)
 {
+    if (video.latentDim != weights->tower.latentDim())
+        throw std::invalid_argument("StreamingSession::begin: video "
+                                    "latentDim is not the vision "
+                                    "tower's input width");
     llm.resetSession();
-    const ModelConfig &cfg = llm.config();
-    const uint32_t vision_dim = std::max(32u, cfg.dModel / 4);
-    stream = std::make_unique<Stream>(video, vision_dim, cfg.dModel,
-                                      seed ^ script_seed, seed, name);
+    gen.emplace(video, weights->backbone.seed ^ script_seed, name);
 
     streamName = name;
-    streamVideo = video;
     scriptSeed = script_seed;
     forced = std::move(forced_tokens);
     forcedPos = 0;
@@ -85,10 +98,9 @@ StreamingSession::accumulate(const BlockStats &stats)
 void
 StreamingSession::feedFrame()
 {
-    VREX_ASSERT(stream != nullptr, "feedFrame before begin()");
-    Matrix latents = stream->gen.nextFrameLatents();
-    Matrix embeds =
-        stream->projector.project(stream->tower.encode(latents));
+    VREX_ASSERT(gen.has_value(), "feedFrame before begin()");
+    Matrix embeds = weights->projector.project(
+        weights->tower.encode(gen->nextFrameLatents()));
     accumulate(llm.prefillFrame(embeds, frameId++));
     ++framesFed;
 }
@@ -96,10 +108,10 @@ StreamingSession::feedFrame()
 void
 StreamingSession::feedQuestion(uint32_t tokens)
 {
-    VREX_ASSERT(stream != nullptr, "feedQuestion before begin()");
+    VREX_ASSERT(gen.has_value(), "feedQuestion before begin()");
     auto ids = WorkloadGenerator::questionTokens(
         tokens, llm.config().vocabSize,
-        seed ^ scriptSeed ^ (0x9e37u + questionNo++));
+        weights->backbone.seed ^ scriptSeed ^ (0x9e37u + questionNo++));
     accumulate(llm.prefillText(ids));
 }
 
@@ -116,7 +128,7 @@ StreamingSession::generateStep(
 {
     std::vector<const Model *> models;
     for (const StreamingSession *s : sessions) {
-        VREX_ASSERT(s->stream != nullptr, "generate before begin()");
+        VREX_ASSERT(s->gen.has_value(), "generate before begin()");
         models.push_back(&s->llm);
     }
     const Matrix logits = Model::logits(models);
@@ -212,7 +224,7 @@ StreamingSession::serialize() const
     serial::ByteWriter w(kBlobVersion);
 
     // Identity block: validated (not applied) by restore().
-    w.put<uint64_t>(seed);
+    w.put<uint64_t>(weights->backbone.seed);
     const ModelConfig &cfg = llm.config();
     w.putString(cfg.name);
     w.put<uint32_t>(cfg.nLayers);
@@ -225,17 +237,18 @@ StreamingSession::serialize() const
     w.putBool(llm.policy() != nullptr);
 
     // Stream block (absent before begin()).
-    w.putBool(stream != nullptr);
-    if (stream) {
+    w.putBool(gen.has_value());
+    if (gen) {
+        const VideoConfig &video = gen->config();
         w.putString(streamName);
-        w.put<uint32_t>(streamVideo.tokensPerFrame);
-        w.put<uint32_t>(streamVideo.latentDim);
-        w.put<double>(streamVideo.driftRate);
-        w.put<double>(streamVideo.sceneCutProb);
-        w.put<double>(streamVideo.tokenNoise);
-        w.put<double>(streamVideo.tokenIdentity);
+        w.put<uint32_t>(video.tokensPerFrame);
+        w.put<uint32_t>(video.latentDim);
+        w.put<double>(video.driftRate);
+        w.put<double>(video.sceneCutProb);
+        w.put<double>(video.tokenNoise);
+        w.put<double>(video.tokenIdentity);
         w.put<uint64_t>(scriptSeed);
-        stream->gen.serialize(w);
+        gen->serialize(w);
     }
 
     // Executor position.
@@ -275,6 +288,7 @@ StreamingSession::restore(const std::vector<uint8_t> &blob)
     serial::ByteReader r(blob, kBlobVersion);
 
     // Identity block.
+    const uint64_t seed = weights->backbone.seed;
     const uint64_t blob_seed = r.get<uint64_t>();
     if (blob_seed != seed)
         throw serial::SerialError(
@@ -301,27 +315,34 @@ StreamingSession::restore(const std::vector<uint8_t> &blob)
             "StreamingSession::restore: policy presence mismatch "
             "(blob and session must carry the same policy spec)");
 
-    // Stream block: rebuild exactly as begin() does, then overlay
-    // the serialized generator position.
+    // Stream block: start the generator exactly as begin() does,
+    // then overlay the serialized generator position.
     if (r.getBool()) {
         streamName = r.getString();
-        streamVideo.tokensPerFrame = r.get<uint32_t>();
-        streamVideo.latentDim = r.get<uint32_t>();
-        streamVideo.driftRate = r.get<double>();
-        streamVideo.sceneCutProb = r.get<double>();
-        streamVideo.tokenNoise = r.get<double>();
-        streamVideo.tokenIdentity = r.get<double>();
+        VideoConfig video;
+        video.tokensPerFrame = r.get<uint32_t>();
+        video.latentDim = r.get<uint32_t>();
+        video.driftRate = r.get<double>();
+        video.sceneCutProb = r.get<double>();
+        video.tokenNoise = r.get<double>();
+        video.tokenIdentity = r.get<double>();
         scriptSeed = r.get<uint64_t>();
-        const uint32_t vision_dim = std::max(32u, cfg.dModel / 4);
-        stream = std::make_unique<Stream>(streamVideo, vision_dim,
-                                          cfg.dModel,
-                                          seed ^ scriptSeed, seed,
-                                          streamName);
-        stream->gen.restore(r);
+        if (video.latentDim != weights->tower.latentDim())
+            throw serial::SerialError("StreamingSession::restore: stream "
+                                      "latentDim is not the vision "
+                                      "tower's input width");
+        // The blob holds the generator's tokensPerFrame x latentDim
+        // offsets: refuse a larger shape before the generator
+        // allocates it.
+        if (uint64_t(video.tokensPerFrame) * video.latentDim *
+                sizeof(float) > r.remaining())
+            throw serial::SerialError("StreamingSession::restore: "
+                                      "truncated blob (stream shape)");
+        gen.emplace(video, seed ^ scriptSeed, streamName);
+        gen->restore(r);
     } else {
-        stream.reset();
+        gen.reset();
         streamName.clear();
-        streamVideo = VideoConfig{};
         scriptSeed = 0;
     }
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,17 +48,39 @@ struct SessionRunResult
     uint32_t frames = 0;
 };
 
+/**
+ * Everything a session only reads, built once from (model config,
+ * seed): the decoder backbone and the vision stack. Immutable, so any
+ * number of sessions of one seed run a single copy.
+ */
+struct SessionWeights
+{
+    SessionWeights(const ModelConfig &config, uint64_t seed);
+
+    /** Bytes of every weight array held (backbone + vision stack). */
+    uint64_t
+    bytes() const
+    {
+        return backbone.bytes() + tower.bytes() + projector.bytes();
+    }
+
+    ModelWeights backbone;
+    /** Input width VideoConfig{}.latentDim; vision width
+     *  max(32, dModel / 4). */
+    VisionTower tower;
+    MlpProjector projector;
+};
+
 /** Drives a Model + vision stack through a SessionScript. */
 class StreamingSession
 {
   public:
     /**
-     * @param weights Backbone weights, shared read-only; their seed
-     *                is the session's master seed (weights + video +
-     *                questions).
-     * @param policy  Retrieval policy; nullptr = full attention.
+     * @param session_weights Shared read-only; their seed is the
+     *        session's master seed (weights + video + questions).
+     * @param policy Retrieval policy; nullptr = full attention.
      */
-    StreamingSession(std::shared_ptr<const ModelWeights> weights,
+    StreamingSession(std::shared_ptr<const SessionWeights> session_weights,
                      SelectionPolicy *policy);
 
     /** A session over a private copy of the (model_config, seed)
@@ -66,12 +89,14 @@ class StreamingSession
                      SelectionPolicy *policy, uint64_t seed);
 
     /**
-     * Open a fresh stream: reset the model and the policy, build the
-     * vision stack for @p video, and clear all accumulators. Must be
-     * called before the incremental verbs.
+     * Open a fresh stream: reset the model and the policy, start a
+     * frame generator for @p video, and clear all accumulators. Must
+     * be called before the incremental verbs.
      *
      * @param name          Stream name (FrameGenerator substream).
-     * @param video         Video statistics of the stream.
+     * @param video         Video statistics of the stream; its
+     *                      latentDim must equal the vision tower's
+     *                      input width (else std::invalid_argument).
      * @param script_seed   Per-script seed (mixed into video and
      *                      question randomness, as SessionScript::seed).
      * @param forced_tokens When non-empty, generation steps consume
@@ -168,10 +193,12 @@ class StreamingSession
     /**
      * Counterpart of serialize(). Must be called on a session
      * running weights of the same (model config, seed) under the
-     * same policy spec;
-     * begin() is not required first. Throws serial::SerialError on
-     * corrupted/truncated blobs, version mismatch, or identity
-     * mismatch (seed, model geometry, policy presence).
+     * same policy spec; begin() is not required first. Rebuilds
+     * the frame generator, never the weights. Throws
+     * serial::SerialError on corrupted/truncated blobs, version
+     * mismatch, identity mismatch (seed, model geometry, policy
+     * presence, the tower's latentDim) or state shapes it would
+     * index out of bounds.
      */
     void restore(const std::vector<uint8_t> &blob);
 
@@ -185,30 +212,13 @@ class StreamingSession
   private:
     void accumulate(const BlockStats &stats);
 
-    /** The per-stream vision stack, rebuilt by begin(). */
-    struct Stream
-    {
-        FrameGenerator gen;
-        VisionTower tower;
-        MlpProjector projector;
-
-        Stream(const VideoConfig &video, uint32_t vision_dim,
-               uint32_t d_model, uint64_t stream_seed,
-               uint64_t weight_seed, const std::string &name)
-            : gen(video, stream_seed, name),
-              tower(video.latentDim, vision_dim, weight_seed),
-              projector(vision_dim, d_model, weight_seed)
-        {
-        }
-    };
-
-    uint64_t seed; //!< The weights' seed, also the streams' master.
+    std::shared_ptr<const SessionWeights> weights;
     Model llm;
-    std::unique_ptr<Stream> stream;
+    /** The stream's frame source; empty until begin(). */
+    std::optional<FrameGenerator> gen;
 
     // Incremental run state (reset by begin()).
     std::string streamName;   //!< Stream identity, for serialize().
-    VideoConfig streamVideo;  //!< Stream identity, for serialize().
     uint64_t scriptSeed = 0;
     std::vector<uint32_t> forced;
     uint32_t forcedPos = 0;

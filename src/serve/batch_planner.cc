@@ -9,10 +9,6 @@ namespace vrex::serve
 
 BatchPlanner::BatchPlanner(BatchConfig config) : cfg(config)
 {
-    // A fused step below two members is just a slower solo step;
-    // clamp rather than assert so a zero-initialized config stays
-    // usable.
-    cfg.minBatch = std::max(2u, cfg.minBatch);
     st.config = cfg;
 }
 
@@ -28,9 +24,10 @@ BatchPlanner::planStepSize(uint32_t claimable_peers) const
 {
     if (!enabled())
         return 0;
+    // A fused step of one member is just a slower solo step.
     const uint32_t members =
         std::min(cfg.maxBatch, claimable_peers + 1);
-    return members >= cfg.minBatch ? members : 0;
+    return members >= 2 ? members : 0;
 }
 
 void

@@ -7,7 +7,7 @@
  * dispatcher actually did.
  *
  * Division of labour: the planner owns the batching *policy*
- * (eligibility of a queued event, min/max fused-step size, the
+ * (eligibility of a queued event, the fused-step size, the
  * coalesced/solo counters surfaced as Stats::batch); the Scheduler
  * owns the *mechanism* (ready-list surgery, per-member wait/slice
  * accounting, the executor handoff). The planner holds no lock of
@@ -57,7 +57,7 @@ class BatchPlanner
      * Size of the fused step to run this round, given the primary
      * plus @p claimable_peers eligible ready peers: 0 means run the
      * normal solo slice, otherwise the member count (primary
-     * included), capped at maxBatch and only >= minBatch.
+     * included), capped at maxBatch and only >= 2.
      */
     uint32_t planStepSize(uint32_t claimable_peers) const;
 

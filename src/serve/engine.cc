@@ -291,13 +291,13 @@ Engine::pinOrThrow(SessionId id)
             std::to_string(id));
 }
 
-std::shared_ptr<const ModelWeights>
+std::shared_ptr<const SessionWeights>
 Engine::weightsFor(uint64_t seed)
 {
     LockGuard lock(wmu);
-    std::shared_ptr<const ModelWeights> &w = weightSets[seed];
+    std::shared_ptr<const SessionWeights> &w = weightSets[seed];
     if (!w)
-        w = std::make_shared<const ModelWeights>(cfg.model, seed);
+        w = std::make_shared<const SessionWeights>(cfg.model, seed);
     return w;
 }
 

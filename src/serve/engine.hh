@@ -5,10 +5,11 @@
  * An Engine owns a pool of worker threads and any number of
  * independent streaming-QA sessions. Each session bundles its own
  * Model state (KV cache, hidden state), an *owned* retrieval policy
- * built from a declarative PolicySpec, and its own RNG streams. The
- * only thing sessions share is immutable: the engine interns one
- * ModelWeights per master seed, built on first use, and every
- * session of that seed runs it read-only. So sessions share no
+ * built from a declarative PolicySpec, and its own frame generator
+ * and RNG streams. The only thing sessions share is immutable: the
+ * engine interns one SessionWeights per master seed (the backbone
+ * plus the vision tower and projector), built on first use, and
+ * every session of that seed runs it read-only. So sessions share no
  * mutable state: an N-way concurrent run is byte-identical to N
  * sequential StreamingSession runs (locked by tests/serve_test.cc
  * and tests/serve_sched_test.cc).
@@ -65,11 +66,12 @@
  * least-recently-executed first, Bulk class before Interactive; busy
  * sessions are skipped, never waited for. The next verb (or drained
  * accessor) wakes the session transparently: the blob is fetched, a
- * policy and executor are rebuilt over the interned weights, and
- * state is restored bit-exactly, so a hibernated session's results
- * are byte-identical to an uninterrupted run (locked by
- * tests/hibernate_test.cc). With the default budget of 0 nothing
- * changes: no accounting, no hibernation, the pre-PR-7 engine.
+ * policy and an executor over the interned weights are made, and
+ * restore() rebuilds only the frame generator and the mutable state,
+ * bit-exactly, so a hibernated session's results are byte-identical
+ * to an uninterrupted run (locked by tests/hibernate_test.cc). With
+ * the default budget of 0 nothing changes: no accounting, no
+ * hibernation, the pre-PR-7 engine.
  * Stats::kv reports resident/cold bytes, the interned weight bytes
  * (counted once), transition counts and hibernate/wake latency
  * percentiles.
@@ -160,7 +162,7 @@ struct EngineConfig
      *  ragged forward pass (StreamingSession::generateStep with one
      *  member per session). All sessions share the engine's
      *  ModelConfig, so geometry always matches; contiguous members
-     *  with equal master seeds run one interned ModelWeights and
+     *  with equal master seeds run one interned weight set and
      *  share one weight stream in the grouped matmul. Per-session
      *  results are byte-identical to solo execution whether or not
      *  steps coalesce; with the default (disabled) the dispatch path
@@ -223,6 +225,9 @@ class Engine
      * Open a session; its policy and model state are built on
      * admission, over the interned weights of its seed.
      * @throws AdmissionError at the live-session cap.
+     * @throws std::invalid_argument when options.video.latentDim is
+     *         not the vision tower's input width (the admission slot
+     *         is released; tryCreateSession rethrows it too).
      */
     SessionId createSession(const SessionOptions &options = {});
 
@@ -363,7 +368,7 @@ class Engine
     Session *sessionFor(SessionId id);
     /** The interned weights of master seed @p seed, built under the
      *  lock on first use and kept for the engine's lifetime. */
-    std::shared_ptr<const ModelWeights> weightsFor(uint64_t seed)
+    std::shared_ptr<const SessionWeights> weightsFor(uint64_t seed)
         VREX_EXCLUDES(wmu);
     /** Make @p s's policy and an unbegun executor over its interned
      *  weights (create and wake share this). */
@@ -397,7 +402,7 @@ class Engine
      *  ModelConfig, so the seed alone is the key. Entries stay for
      *  the engine's lifetime: churn traffic closes a session before
      *  creating the next, and a weak cache would rebuild each time. */
-    std::map<uint64_t, std::shared_ptr<const ModelWeights>> weightSets
+    std::map<uint64_t, std::shared_ptr<const SessionWeights>> weightSets
         VREX_GUARDED_BY(wmu);
 
     mutable Mutex smu; //!< Guards `sessions` and `nextId` only.

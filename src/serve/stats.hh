@@ -147,9 +147,6 @@ struct BatchConfig
     bool enabled = false;
     /** Max member sessions one fused step may coalesce (>= 2). */
     uint32_t maxBatch = 16;
-    /** Fewer claimable members than this run solo instead (a fused
-     *  step of 1 is just overhead); clamped to >= 2. */
-    uint32_t minBatch = 2;
 };
 
 /**
@@ -275,7 +272,7 @@ struct KvBudgetStats
     uint32_t hibernatedSessions = 0;
     /** Bytes currently held by the cold store. */
     uint64_t coldBytes = 0;
-    /** Bytes of the engine's interned model weights, each set
+    /** Bytes of the engine's interned SessionWeights, each set
      *  counted once however many sessions run it (filled with or
      *  without a budget; not priced by the budget). */
     uint64_t weightBytes = 0;

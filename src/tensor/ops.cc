@@ -183,14 +183,6 @@ applyRopeAngles(float *head, uint32_t dim, const float *c,
 }
 
 void
-applyRope(float *head, uint32_t dim, uint32_t pos, float thetaBase)
-{
-    std::vector<float> c(dim / 2), s(dim / 2);
-    ropeAngles(dim, pos, thetaBase, c.data(), s.data());
-    applyRopeAngles(head, dim, c.data(), s.data());
-}
-
-void
 applyRopeInverse(float *head, uint32_t dim, uint32_t pos,
                  float thetaBase)
 {

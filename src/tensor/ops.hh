@@ -122,17 +122,9 @@ void hadamard(float *x, const float *y, uint32_t n);
 void addInPlace(float *x, const float *y, uint32_t n);
 
 /**
- * Apply rotary position embedding to one head vector of even length
- * @p dim at sequence position @p pos (llama convention, theta=10000).
- * Equal to ropeAngles() followed by applyRopeAngles().
- */
-void applyRope(float *head, uint32_t dim, uint32_t pos,
-               float thetaBase = 10000.0f);
-
-/**
- * The cos/sin of every RoPE angle at position @p pos: @p c and @p s
- * each receive dim / 2 values. Compute them once per row and apply
- * them to every head of that row.
+ * The cos/sin of every RoPE angle (llama convention) at position
+ * @p pos: @p c and @p s each receive dim / 2 values. Compute them once
+ * per row and apply them to every head of that row.
  */
 void ropeAngles(uint32_t dim, uint32_t pos, float thetaBase, float *c,
                 float *s);
@@ -141,7 +133,7 @@ void ropeAngles(uint32_t dim, uint32_t pos, float thetaBase, float *c,
 void applyRopeAngles(float *head, uint32_t dim, const float *c,
                      const float *s);
 
-/** Invert applyRope (rotate by the negative angle). */
+/** Invert the RoPE rotation at @p pos (rotate by the negative angle). */
 void applyRopeInverse(float *head, uint32_t dim, uint32_t pos,
                       float thetaBase = 10000.0f);
 

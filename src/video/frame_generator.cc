@@ -72,12 +72,24 @@ FrameGenerator::restore(serial::ByteReader &r)
     st.spare = r.get<double>();
     st.hasSpare = r.getBool();
     rng.setState(st);
+    // nextFrameLatents() indexes latentDim columns of the scene and
+    // of tokensPerFrame offset rows: refuse any other shape.
+    const auto bad_shape = [] {
+        return serial::SerialError("FrameGenerator::restore: scene "
+                                   "state is not tokensPerFrame x "
+                                   "latentDim");
+    };
     sceneLatent = r.getVec<float>();
     const uint64_t n = r.get<uint64_t>();
+    if (sceneLatent.size() != cfg.latentDim || n != cfg.tokensPerFrame)
+        throw bad_shape();
     tokenOffsets.clear();
     tokenOffsets.reserve(n);
-    for (uint64_t i = 0; i < n; ++i)
+    for (uint64_t i = 0; i < n; ++i) {
         tokenOffsets.push_back(r.getVec<float>());
+        if (tokenOffsets.back().size() != cfg.latentDim)
+            throw bad_shape();
+    }
     frameCount = r.get<uint32_t>();
     scenes = r.get<uint32_t>();
 }

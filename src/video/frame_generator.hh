@@ -28,6 +28,8 @@ namespace vrex
 struct VideoConfig
 {
     uint32_t tokensPerFrame = 16;
+    /** Latent width of each token; must equal the vision tower's
+     *  input width, which SessionWeights fixes at this default. */
     uint32_t latentDim = 32;
     /** Per-frame scene-latent drift stddev (higher = less similar). */
     double driftRate = 0.08;
@@ -57,7 +59,9 @@ class FrameGenerator
     /**
      * Serialize the full stream position (RNG state, current scene
      * latent/offsets, counters). Restoring onto a generator built
-     * with the same config + seed resumes the stream bit-exactly.
+     * with the same config + seed resumes the stream bit-exactly;
+     * restore() throws serial::SerialError when the scene state is
+     * not tokensPerFrame x latentDim.
      */
     void serialize(serial::ByteWriter &w) const;
     void restore(serial::ByteReader &r);

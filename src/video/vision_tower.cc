@@ -33,7 +33,6 @@ gelu(float *x, uint32_t n)
 
 VisionTower::VisionTower(uint32_t latent_dim, uint32_t vision_dim,
                          uint64_t seed)
-    : outDim(vision_dim)
 {
     Rng rng(seed, "vision-tower");
     const uint32_t hidden = 2 * vision_dim;

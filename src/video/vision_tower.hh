@@ -29,10 +29,14 @@ class VisionTower
     /** Encode frame latents (T x latentDim) -> T x visionDim. */
     Matrix encode(const Matrix &latents) const;
 
-    uint32_t visionDim() const { return outDim; }
+    /** Input (latent) and output (vision feature) widths. */
+    uint32_t latentDim() const { return w1.cols(); }
+    uint32_t visionDim() const { return w2.rows(); }
+
+    /** Bytes of the weight arrays held (fp32). */
+    uint64_t bytes() const { return (w1.size() + w2.size()) * sizeof(float); }
 
   private:
-    uint32_t outDim;
     Matrix w1, w2;  // [out x in] layout.
 };
 
@@ -44,6 +48,9 @@ class MlpProjector
 
     /** Project features (T x visionDim) -> T x dModel. */
     Matrix project(const Matrix &features) const;
+
+    /** Bytes of the weight array held (fp32). */
+    uint64_t bytes() const { return w.size() * sizeof(float); }
 
   private:
     Matrix w;  // [dModel x visionDim].

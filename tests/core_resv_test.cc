@@ -140,23 +140,6 @@ TEST(ResvPolicy, SelectionVariesAcrossLayersAndHeads)
     EXPECT_GT(distinct.size(), 2u);
 }
 
-TEST(ResvPolicy, EarlyExitAndReferenceAgreeOnRatioScale)
-{
-    ModelConfig cfg = ModelConfig::tiny();
-    double ratios[2];
-    int i = 0;
-    for (bool ee : {false, true}) {
-        ResvConfig rc;
-        rc.earlyExit = ee;
-        ResvPolicy policy(cfg, rc);
-        Model model(cfg, 42);
-        model.setPolicy(&policy);
-        streamFrames(model, 8, 4, 8);
-        ratios[i++] = policy.frameCounters().selectedRatio();
-    }
-    EXPECT_NEAR(ratios[0], ratios[1], 0.15);
-}
-
 TEST(ResvPolicy, UnclusteredModeSelects)
 {
     ModelConfig cfg = ModelConfig::tiny();

@@ -19,9 +19,12 @@
  *    per-session results identical to sequential ground truth across
  *    the scheduler shape zoo; the default budget of 0 changes
  *    nothing;
- *  - the Engine interns one ModelWeights per master seed: creates,
- *    closes, wakes and concurrent creators all share it, and
- *    Stats::kv counts its bytes once.
+ *  - restore() refuses state shapes the session would later index
+ *    out of bounds (crafted blobs with a valid footer);
+ *  - the Engine interns one SessionWeights per master seed: creates,
+ *    closes, wakes and concurrent creators all share it, Stats::kv
+ *    counts its bytes once, and a stream whose latentDim the vision
+ *    tower cannot take is refused at begin() and at restore().
  */
 
 #include <gtest/gtest.h>
@@ -73,6 +76,53 @@ freshSession(const ModelConfig &model, const serve::PolicySpec &spec,
 {
     holder = serve::makePolicy(model, spec);
     return StreamingSession(model, holder.active(), seed);
+}
+
+/**
+ * A FrameGenerator payload under a valid footer: a scene latent of
+ * @p scene values, an offset count of @p declared_rows, then @p rows
+ * offset rows of @p row_width values each.
+ */
+std::vector<uint8_t>
+generatorBlob(uint64_t scene, uint64_t declared_rows, uint64_t rows,
+              uint64_t row_width)
+{
+    serial::ByteWriter w(1);
+    for (uint64_t i = 1; i <= 4; ++i)
+        w.put<uint64_t>(i); // RNG state.
+    w.put<double>(0.0);
+    w.putBool(false);
+    w.putVec(std::vector<float>(scene, 0.5f));
+    w.put<uint64_t>(declared_rows);
+    for (uint64_t i = 0; i < rows; ++i)
+        w.putVec(std::vector<float>(row_width, 0.25f));
+    w.put<uint32_t>(1); // frameCount
+    w.put<uint32_t>(1); // scenes
+    return w.finish();
+}
+
+/**
+ * A KVCache payload for @p cfg under a valid footer: every layer's K
+ * and V are @p rows x @p cols, followed by @p tokens meta records of
+ * stage byte @p stage.
+ */
+std::vector<uint8_t>
+kvBlob(const ModelConfig &cfg, uint32_t rows, uint32_t cols,
+       uint32_t tokens, uint8_t stage)
+{
+    serial::ByteWriter w(1);
+    w.put<uint32_t>(cfg.nLayers);
+    for (uint32_t l = 0; l < 2 * cfg.nLayers; ++l)
+        serializeMatrix(w, Matrix(rows, cols));
+    w.put<uint64_t>(tokens);
+    for (uint32_t t = 0; t < tokens; ++t) {
+        w.put<int32_t>(0);
+        w.put<uint8_t>(stage);
+        w.put<uint32_t>(t);
+    }
+    w.put<uint32_t>(tokens); // pendingTokens
+    w.put<uint32_t>(1);      // numFrames
+    return w.finish();
 }
 
 } // namespace
@@ -359,6 +409,59 @@ TEST(SessionSerialize, RejectsIdentityMismatch)
     serve::PolicyInstance p4;
     StreamingSession policied = freshSession(model, spec, 21, p4);
     EXPECT_THROW(policied.restore(bare_blob), serial::SerialError);
+}
+
+TEST(RestoreShapes, FrameGeneratorRefusesShapesItWouldOverrun)
+{
+    const VideoConfig video; // 16 tokens x 32 latent values.
+    const uint64_t t = video.tokensPerFrame, d = video.latentDim;
+    auto restore = [&](const std::vector<uint8_t> &blob) {
+        FrameGenerator gen(video, 3);
+        serial::ByteReader r(blob, 1);
+        gen.restore(r);
+        r.expectEnd();
+        return gen.nextFrameLatents().rows();
+    };
+    EXPECT_EQ(restore(generatorBlob(d, t, t, d)), t);
+
+    // An inflated offset count must fail as a blob error, not as an
+    // allocation failure.
+    EXPECT_THROW(restore(generatorBlob(d, uint64_t(1) << 62, t, d)),
+                 serial::SerialError);
+    EXPECT_THROW(restore(generatorBlob(d - 1, t, t, d)),
+                 serial::SerialError); // Short scene latent.
+    EXPECT_THROW(restore(generatorBlob(d, t, t, d - 1)),
+                 serial::SerialError); // Short offset rows.
+    EXPECT_THROW(restore(generatorBlob(d, t - 1, t - 1, d)),
+                 serial::SerialError); // Too few offset rows.
+}
+
+TEST(RestoreShapes, KvCacheRefusesShapesAttentionWouldOverrun)
+{
+    const ModelConfig cfg = ModelConfig::tiny();
+    const uint32_t kv_dim = cfg.nKvHeads * cfg.headDim();
+    const auto frame = static_cast<uint8_t>(TokenStage::VideoFrame);
+    auto restore = [&](const std::vector<uint8_t> &blob) {
+        KVCache cache(cfg);
+        serial::ByteReader r(blob, 1);
+        cache.restore(r);
+        r.expectEnd();
+        return cache.tokenCount();
+    };
+    EXPECT_EQ(restore(kvBlob(cfg, 4, kv_dim, 4, frame)), 4u);
+
+    EXPECT_THROW(restore(kvBlob(cfg, 4, kv_dim - 1, 4, frame)),
+                 serial::SerialError);
+    EXPECT_THROW(restore(kvBlob(cfg, 4, kv_dim + 1, 4, frame)),
+                 serial::SerialError);
+    EXPECT_THROW(restore(kvBlob(cfg, 3, kv_dim, 4, frame)),
+                 serial::SerialError); // Fewer K/V rows than tokens.
+    EXPECT_THROW(restore(kvBlob(cfg, 5, kv_dim, 4, frame)),
+                 serial::SerialError); // More K/V rows than tokens.
+    const auto past_last =
+        static_cast<uint8_t>(TokenStage::GeneratedText) + 1;
+    EXPECT_THROW(restore(kvBlob(cfg, 4, kv_dim, 4, past_last)),
+                 serial::SerialError);
 }
 
 // ---------------------------------------------------------------
@@ -797,7 +900,10 @@ TEST(EngineWeights, OneSetPerSeedCountedOnce)
     std::vector<serve::SessionId> ids;
     for (uint32_t i = 0; i < 6; ++i)
         ids.push_back(engine.createSession());
-    const uint64_t one_set = cfg.model.paramCount() * sizeof(float);
+    // A set is the backbone plus the vision stack, the same bytes for
+    // every seed.
+    const uint64_t one_set = SessionWeights(cfg.model, 42).bytes();
+    EXPECT_GT(one_set, cfg.model.paramCount() * sizeof(float));
     serve::KvBudgetStats kv = engine.stats().kv;
     EXPECT_EQ(kv.weightSets, 1u);
     EXPECT_EQ(kv.weightBytes, one_set);
@@ -817,6 +923,69 @@ TEST(EngineWeights, OneSetPerSeedCountedOnce)
     for (serve::SessionId id : ids)
         engine.closeSession(id);
     EXPECT_EQ(engine.stats().kv.weightSets, 2u); // Kept, not refcounted.
+}
+
+TEST(EngineWeights, BeginRefusesALatentDimTheTowerCannotTake)
+{
+    const ModelConfig model = ModelConfig::tiny();
+    VideoConfig video;
+    video.latentDim = 16; // The interned tower takes 32.
+    StreamingSession session(model, nullptr, 42);
+    EXPECT_THROW(session.begin("narrow", video, 1),
+                 std::invalid_argument);
+
+    serve::EngineConfig cfg;
+    cfg.model = model;
+    cfg.workers = 1;
+    cfg.sched.maxLiveSessions = 1;
+    serve::Engine engine(cfg);
+    serve::SessionOptions bad;
+    bad.video = video;
+    for (int attempt = 0; attempt < 2; ++attempt)
+        EXPECT_THROW(engine.tryCreateSession(bad), std::invalid_argument);
+    EXPECT_EQ(engine.openSessions(), 0u);
+
+    // The failed creates released their slots: a well-formed session
+    // still fits under maxLiveSessions = 1.
+    const serve::Admission ok = engine.tryCreateSession();
+    EXPECT_TRUE(ok.admitted());
+    EXPECT_EQ(engine.openSessions(), 1u);
+    engine.closeSession(ok.id);
+}
+
+TEST(EngineWeights, RestoreRefusesAnotherStreamLatentDim)
+{
+    const ModelConfig model = ModelConfig::tiny();
+    const SessionScript script = randomVerbScript(777, 0);
+    StreamingSession s1(model, nullptr, 42);
+    s1.begin(script.name, script.video, script.seed);
+    s1.apply(script.events[0]);
+    std::vector<uint8_t> blob = s1.serialize();
+
+    // Offset of the stream block's latentDim: header, seed, model
+    // identity (name + six u32 + rope theta), policy and stream
+    // flags, stream name, tokensPerFrame.
+    const size_t at = 2 * sizeof(uint32_t) + sizeof(uint64_t) +
+        sizeof(uint64_t) + model.name.size() + 7 * sizeof(uint32_t) +
+        2 + sizeof(uint64_t) + script.name.size() + sizeof(uint32_t);
+    uint32_t field[2];
+    std::memcpy(field, blob.data() + at - sizeof(uint32_t),
+                sizeof(field));
+    ASSERT_EQ(field[0], script.video.tokensPerFrame);
+    ASSERT_EQ(field[1], script.video.latentDim);
+    const uint32_t narrow = 16;
+    std::memcpy(blob.data() + at, &narrow, sizeof(narrow));
+    resealBlob(blob);
+
+    StreamingSession s2(model, nullptr, 42);
+    try {
+        s2.restore(blob);
+        ADD_FAILURE() << "restore accepted a 16-wide stream";
+    } catch (const serial::SerialError &e) {
+        EXPECT_NE(std::string(e.what()).find("vision tower"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(EngineWeights, CreateCloseCreateReusesTheSet)

@@ -22,6 +22,17 @@ using namespace vrex;
 namespace
 {
 
+/** RoPE at @p pos the way the decoder applies it: angles once, then
+ *  the rotation. */
+void
+rope(float *head, uint32_t dim, uint32_t pos)
+{
+    std::vector<float> c(dim / 2), s(dim / 2);
+    ropeAngles(dim, pos, 10000.0f, c.data(), s.data());
+    applyRopeAngles(head, dim, c.data(), s.data());
+}
+
+
 Matrix
 randomMatrix(uint32_t r, uint32_t c, uint64_t seed)
 {
@@ -130,7 +141,7 @@ TEST_P(RopeDims, InverseRoundTrip)
     orig = head;
     for (uint32_t pos : {0u, 1u, 17u, 900u}) {
         std::vector<float> work = orig;
-        applyRope(work.data(), dim, pos);
+        rope(work.data(), dim, pos);
         applyRopeInverse(work.data(), dim, pos);
         for (uint32_t d = 0; d < dim; ++d)
             EXPECT_NEAR(work[d], orig[d], 2e-4f)
@@ -147,7 +158,7 @@ TEST_P(RopeDims, NormPreservedAtAnyPosition)
     const float before = norm2(head.data(), dim);
     for (uint32_t pos : {3u, 111u, 4096u}) {
         std::vector<float> work = head;
-        applyRope(work.data(), dim, pos);
+        rope(work.data(), dim, pos);
         EXPECT_NEAR(norm2(work.data(), dim), before, 2e-3f);
     }
 }
@@ -161,8 +172,8 @@ TEST_P(RopeDims, RelativePositionProperty)
     rng.fillGaussian(k.data(), dim, 1.0f);
     auto dot_at = [&](uint32_t pq, uint32_t pk) {
         std::vector<float> qq = q, kk = k;
-        applyRope(qq.data(), dim, pq);
-        applyRope(kk.data(), dim, pk);
+        rope(qq.data(), dim, pq);
+        rope(kk.data(), dim, pk);
         return dot(qq.data(), kk.data(), dim);
     };
     EXPECT_NEAR(dot_at(12, 4), dot_at(112, 104), 5e-3f);

@@ -7,11 +7,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/matrix.hh"
 #include "tensor/ops.hh"
 
 using namespace vrex;
+
+namespace
+{
+
+/** RoPE at @p pos the way the decoder applies it: angles once, then
+ *  the rotation. */
+void
+rope(float *head, uint32_t dim, uint32_t pos)
+{
+    std::vector<float> c(dim / 2), s(dim / 2);
+    ropeAngles(dim, pos, 10000.0f, c.data(), s.data());
+    applyRopeAngles(head, dim, c.data(), s.data());
+}
+
+} // namespace
 
 TEST(Matrix, ShapeAndAccess)
 {
@@ -160,7 +176,7 @@ TEST(Ops, RopePreservesNorm)
 {
     float head[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     float before = norm2(head, 8);
-    applyRope(head, 8, 17);
+    rope(head, 8, 17);
     EXPECT_NEAR(norm2(head, 8), before, 1e-4f);
 }
 
@@ -169,7 +185,7 @@ TEST(Ops, RopeIdentityAtPositionZero)
     float head[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     float copy[8];
     std::copy(head, head + 8, copy);
-    applyRope(head, 8, 0);
+    rope(head, 8, 0);
     for (int i = 0; i < 8; ++i)
         EXPECT_NEAR(head[i], copy[i], 1e-6f);
 }
@@ -184,8 +200,8 @@ TEST(Ops, RopeRelativePropertyDotDependsOnDistance)
         float qq[8], kk[8];
         std::copy(q, q + 8, qq);
         std::copy(k, k + 8, kk);
-        applyRope(qq, 8, pq);
-        applyRope(kk, 8, pk);
+        rope(qq, 8, pq);
+        rope(kk, 8, pk);
         return dot(qq, kk, 8);
     };
     EXPECT_NEAR(dot_at(5, 2), dot_at(25, 22), 1e-3f);
