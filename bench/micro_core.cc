@@ -4,9 +4,9 @@
  * (core/kernels): XOR+popcount Hamming, hash-bit encoding, WiCSum
  * min/max + bucket-membership scan — the software-side counterparts
  * of the HCU and WTU — and the dense panel (canonical 8-lane dot,
- * tiled GEMM/GEMV, gathered attention scoring), plus a continuity
- * panel for the surrounding operations (cosine similarity, HC-table
- * insert, the reference WiCSum sort).
+ * tiled GEMM/GEMV, gathered attention scoring and p·V), plus a
+ * continuity panel for the surrounding operations (cosine similarity,
+ * HC-table insert, the reference WiCSum sort).
  *
  * Unlike the figure/table harnesses, the ns/op numbers here are host
  * wall-clock timings, so they are excluded from the figure drift gate
@@ -198,7 +198,7 @@ runKernelRows(std::vector<RowResult> &rows)
         }));
     }
 
-    // --- Dense: the transformer's dot, GEMM and attention scoring. --
+    // --- Dense: the transformer's dot, GEMM and attention. ---------
     for (uint32_t k : {16u, 128u, 256u}) {
         const auto ab = randomKeys(2, k, 21);
         rows.push_back(measureRow("dense", "dot k=" + std::to_string(k),
@@ -237,6 +237,18 @@ runKernelRows(std::vector<RowResult> &rows)
                                            stride, idx.data(), n, hd,
                                            scores.data());
             sinkF32 = sinkF32 + scores[0];
+        }));
+        // The same head's p·V: 512 probabilities weighting the value
+        // slices of the same rows, accumulated into one output head.
+        std::vector<float> p(n);
+        for (uint32_t i = 0; i < n; ++i)
+            p[i] = 1.0f / static_cast<float>(i + 2);
+        std::vector<float> out(hd);
+        rows.push_back(measureRow("dense", "axpy gather k=16 n=512", [&] {
+            kernels::active().axpyGatherF32(p.data(), keys.data() + hd,
+                                            stride, idx.data(), n, hd,
+                                            out.data());
+            sinkF32 = sinkF32 + out[0];
         }));
     }
 }

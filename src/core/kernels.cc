@@ -82,6 +82,7 @@ const Ops kScalarOps = {
     &vrex::detail::dotF32Scalar,
     &vrex::detail::gemmRowsF32Scalar,
     &vrex::detail::dotGatherF32Scalar,
+    &vrex::detail::axpyGatherF32Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -107,6 +108,8 @@ install(const Ops *ops, Isa isa)
                                         std::memory_order_release);
     vrex::detail::dotGatherF32Hook.store(ops->dotGatherF32,
                                          std::memory_order_release);
+    vrex::detail::axpyGatherF32Hook.store(ops->axpyGatherF32,
+                                          std::memory_order_release);
 }
 
 const Ops *

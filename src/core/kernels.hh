@@ -3,9 +3,10 @@
  * Runtime-dispatched SIMD kernels for the DRE hot loops (paper §V:
  * the HCU XOR/popcount datapath, hash-bit generation, and the WTU
  * WiCSum sweep) and for the transformer's dense float kernels (dot,
- * GEMM, attention scoring). One `Ops` table per instruction set — scalar always,
- * AVX2 on x86-64, NEON on aarch64 — selected once at startup from
- * CPUID (x86) / compile target (arm), overridable for testing via the
+ * GEMM, attention scoring and value accumulation). One `Ops` table
+ * per instruction set — scalar always, AVX2 on x86-64, NEON on
+ * aarch64 — selected once at startup from CPUID (x86) / compile
+ * target (arm), overridable for testing via the
  * `VREX_KERNELS=scalar|avx2|neon|auto` environment variable or
  * `setActive()`.
  *
@@ -98,7 +99,7 @@ struct HashPlanes
 /**
  * One dispatch table: every kernel the DRE hot path consumes, plus
  * the dense float kernels under the transformer (dot, GEMM, attention
- * scoring).
+ * scoring and value accumulation).
  */
 struct Ops
 {
@@ -146,6 +147,13 @@ struct Ops
      * scoring.
      */
     vrex::detail::DotGatherF32Fn dotGatherF32;
+
+    /**
+     * Probability-weighted sum of value rows given by index:
+     * out[d] += p[i] * (base + idx[i] * stride)[d], keys in order,
+     * p[i] == 0 skipped — attention's per-(head, query) p·V.
+     */
+    vrex::detail::AxpyGatherF32Fn axpyGatherF32;
 };
 
 /** The scalar reference table (always compiled). */

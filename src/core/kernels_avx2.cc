@@ -10,7 +10,9 @@
  * unfused mul+add, so each lane reproduces the scalar encode loop's
  * rounding exactly. The dense kernels (dot, GEMM, gather) hold the
  * canonical order's eight lane sums in one 256-bit accumulator per
- * output and combine them with the canonical tree. -mno-fma plus the
+ * output and combine them with the canonical tree. The gathered axpy
+ * (attention's p·V) puts one output element per lane and walks the
+ * keys sequentially, the scalar loop's order. -mno-fma plus the
  * global -ffp-contract=off guarantee the compiler cannot fuse the
  * mul/add intrinsics into an FMA. All other kernels are integer or
  * exact-predicate operations.
@@ -201,7 +203,7 @@ rangeBitmapAvx2(const float *s, size_t n, double lower, double upper,
 // into exactly the first n % 8 lanes as the reference does.
 // ---------------------------------------------------------------------
 
-/** Load mask for the first @p rem lanes (rem < 8). */
+/** Load mask for the first @p rem lanes (rem <= 8). */
 inline __m256i
 tailMask(uint32_t rem)
 {
@@ -323,6 +325,64 @@ dotGatherF32Avx2(const float *q, const float *base, size_t stride,
         out[i] = dotF32Avx2(q, base + idx[i] * stride, n);
 }
 
+// ---------------------------------------------------------------------
+// Gathered p·V in the sequential per-element order: lane d of an
+// accumulator is out[d], and it adds p[i] * row_i[d] key after key —
+// the scalar reference's mul-then-add chain, lane by lane. A pass
+// covers up to 16 columns (two accumulators held in registers across
+// all keys); a ragged pass loads and stores its last accumulator
+// through a mask, so no column at or past n is read or written.
+// ---------------------------------------------------------------------
+
+void
+axpyGatherF32Avx2(const float *p, const float *base, size_t stride,
+                  const uint32_t *idx, size_t count, uint32_t n,
+                  float *out)
+{
+    uint32_t d = 0;
+    for (; d + 16 <= n; d += 16) {
+        __m256 a0 = _mm256_loadu_ps(out + d);
+        __m256 a1 = _mm256_loadu_ps(out + d + 8);
+        for (size_t i = 0; i < count; ++i) {
+            if (p[i] == 0.0f)
+                continue;
+            const __m256 pv = _mm256_set1_ps(p[i]);
+            const float *row = base + idx[i] * stride + d;
+            a0 = mulAdd(a0, pv, _mm256_loadu_ps(row));
+            a1 = mulAdd(a1, pv, _mm256_loadu_ps(row + 8));
+        }
+        _mm256_storeu_ps(out + d, a0);
+        _mm256_storeu_ps(out + d + 8, a1);
+    }
+    const uint32_t rem = n - d;
+    if (rem > 8) {
+        const __m256i m = tailMask(rem - 8);
+        __m256 a0 = _mm256_loadu_ps(out + d);
+        __m256 a1 = _mm256_maskload_ps(out + d + 8, m);
+        for (size_t i = 0; i < count; ++i) {
+            if (p[i] == 0.0f)
+                continue;
+            const __m256 pv = _mm256_set1_ps(p[i]);
+            const float *row = base + idx[i] * stride + d;
+            a0 = mulAdd(a0, pv, _mm256_loadu_ps(row));
+            a1 = mulAdd(a1, pv, _mm256_maskload_ps(row + 8, m));
+        }
+        _mm256_storeu_ps(out + d, a0);
+        _mm256_maskstore_ps(out + d + 8, m, a1);
+    } else if (rem > 0) {
+        const __m256i m = tailMask(rem);
+        __m256 a0 = _mm256_maskload_ps(out + d, m);
+        for (size_t i = 0; i < count; ++i) {
+            if (p[i] == 0.0f)
+                continue;
+            const __m256 pv = _mm256_set1_ps(p[i]);
+            a0 = mulAdd(a0, pv,
+                        _mm256_maskload_ps(base + idx[i] * stride + d, m));
+        }
+        _mm256_maskstore_ps(out + d, m, a0);
+    }
+}
+
 const Ops kAvx2Ops = {
     "avx2",
     &hammingWordsAvx2,
@@ -332,6 +392,7 @@ const Ops kAvx2Ops = {
     &dotF32Avx2,
     &gemmRowsF32Avx2,
     &dotGatherF32Avx2,
+    &axpyGatherF32Avx2,
 };
 
 } // namespace

@@ -10,7 +10,8 @@
  * with -ffp-contract=off, so each lane reproduces the scalar
  * hashEncode's sequential rounding exactly. minMax, Hamming and the
  * range bitmap are integer or exact-predicate operations; the dense
- * float kernels (dot, GEMM, gather) point at the scalar references.
+ * float kernels (dot, GEMM, gather, gathered axpy) point at the scalar
+ * references.
  */
 
 #include "core/kernels.hh"
@@ -166,6 +167,7 @@ const Ops kNeonOps = {
     &vrex::detail::dotF32Scalar,
     &vrex::detail::gemmRowsF32Scalar,
     &vrex::detail::dotGatherF32Scalar,
+    &vrex::detail::axpyGatherF32Scalar,
 };
 
 } // namespace

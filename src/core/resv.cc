@@ -67,8 +67,13 @@ ResvPolicy::select(uint32_t layer, const Matrix &q, const KVCache &cache,
     const uint32_t group = model.groupSize();
     const float scale = 1.0f / std::sqrt((float)head_dim);
     const Matrix &keys = cache.layer(layer).keys;
+    const uint32_t block = q.rows();
     LayerSelection sel;
     sel.kvHeads.resize(model.nKvHeads);
+    // Scratch reused across heads: packed centroids, one query head's
+    // block x candidate scores, the pooled scores, candidate sizes.
+    std::vector<float> packed, dots, raw;
+    std::vector<uint32_t> counts;
 
     for (uint32_t kv_head = 0; kv_head < model.nKvHeads; ++kv_head) {
         const auto &clusters =
@@ -76,42 +81,54 @@ ResvPolicy::select(uint32_t layer, const Matrix &q, const KVCache &cache,
         HeadSelection &hsel = sel.kvHeads[kv_head];
         hsel.selectAll = false;
 
-        // Candidates: the head's clusters (centroid, size), or, for
-        // Fig. 19 "w/o clustering", every past key as a cluster of one.
-        std::vector<const float *> vecs;
-        std::vector<uint32_t> counts;
+        // Candidates as rows: the head's cluster centroids (packed),
+        // or, for Fig. 19 "w/o clustering", every past key read in
+        // place as a cluster of one.
+        const float *cand = nullptr;
+        size_t cand_stride = head_dim;
+        uint32_t n_cand = 0;
         if (cfg.clustering) {
-            for (const auto &cluster : clusters) {
-                vecs.push_back(cluster.centroid.data());
-                counts.push_back(cluster.tokenCount());
+            n_cand = static_cast<uint32_t>(clusters.size());
+            packed.resize(static_cast<size_t>(n_cand) * head_dim);
+            counts.resize(n_cand);
+            for (uint32_t c = 0; c < n_cand; ++c) {
+                std::copy(clusters[c].centroid.begin(),
+                          clusters[c].centroid.end(),
+                          packed.begin() + static_cast<size_t>(c) * head_dim);
+                counts[c] = clusters[c].tokenCount();
             }
+            cand = packed.data();
         } else {
-            for (uint32_t token = 0; token < past_len; ++token)
-                vecs.push_back(keys.row(token) + kv_head * head_dim);
+            n_cand = past_len;
+            cand = keys.raw() + kv_head * head_dim;
+            cand_stride = keys.cols();
             counts.assign(past_len, 1);
         }
-        if (vecs.empty())
+        if (n_cand == 0)
             continue;
 
         // Score: max over the head group's queries and the block's
         // query tokens (each query token needs its own entries; max
-        // pooling unions their demands).
-        std::vector<float> raw(vecs.size(),
-                               -std::numeric_limits<float>::infinity());
-        for (uint32_t c = 0; c < vecs.size(); ++c) {
-            for (uint32_t g = 0; g < group; ++g) {
-                const uint32_t q_off =
-                    (kv_head * group + g) * head_dim;
-                for (uint32_t t = 0; t < q.rows(); ++t) {
-                    float s = dot(q.row(t) + q_off, vecs[c], head_dim) *
-                        scale;
-                    raw[c] = std::max(raw[c], s);
-                }
+        // pooling unions their demands). One GEMM per query head —
+        // rows are the block's queries, columns the candidates — so
+        // every score is one canonical dot, and each candidate is
+        // pooled over (g, t) in that order.
+        raw.assign(n_cand, -std::numeric_limits<float>::infinity());
+        dots.resize(static_cast<size_t>(block) * n_cand);
+        for (uint32_t g = 0; g < group; ++g) {
+            const uint32_t q_off = (kv_head * group + g) * head_dim;
+            gemmRows(q.raw() + q_off, q.cols(), block, cand, cand_stride,
+                     n_cand, head_dim, dots.data(), n_cand);
+            for (uint32_t t = 0; t < block; ++t) {
+                const float *row = dots.data() +
+                    static_cast<size_t>(t) * n_cand;
+                for (uint32_t c = 0; c < n_cand; ++c)
+                    raw[c] = std::max(raw[c], row[c] * scale);
             }
         }
-        ctr.predictionMacs += static_cast<uint64_t>(vecs.size()) *
-            head_dim * group * q.rows();
-        ctr.clustersScanned += vecs.size();
+        ctr.predictionMacs += static_cast<uint64_t>(n_cand) *
+            head_dim * group * block;
+        ctr.clustersScanned += n_cand;
 
         WicsumResult picked = wicsumSelectEarlyExit(
             expNormalize(raw), counts, cfg.thrWics, cfg.nBuckets);

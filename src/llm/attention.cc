@@ -1,6 +1,7 @@
 #include "llm/attention.hh"
 
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "tensor/ops.hh"
@@ -21,13 +22,6 @@ LayerSelection::selectedRatio(uint32_t past_len) const
 
 namespace
 {
-
-/** Shared per-(head, token) scratch for the attention kernels. */
-struct AttendScratch
-{
-    std::vector<float> scores;
-    std::vector<uint32_t> attended;
-};
 
 /** Check the degenerate-input contract of one member (see
  *  AttentionMember docs). O(nKvHeads). */
@@ -54,46 +48,24 @@ checkAttentionInputs(const ModelConfig &cfg, const AttentionMember &m)
 }
 
 /**
- * Attend one query token of one head: @p qv against the selected
- * past tokens plus the causal block prefix ending at block offset
- * @p t.
+ * Attend one query token of one head: @p qv against the first
+ * @p count tokens of @p attended (the selected past, then the causal
+ * block prefix), adding the probability-weighted values into @p ov.
  */
 void
 attendToken(const float *qv, const LayerKV &kv, uint32_t kv_off,
-            uint32_t head_dim, uint32_t past_len, uint32_t t,
-            const HeadSelection *hsel, float *ov, AttendScratch &s)
+            uint32_t head_dim, const uint32_t *attended, size_t count,
+            float *ov, std::vector<float> &scores)
 {
-    // Tokens this query may attend: selected past tokens plus
-    // the causal prefix of the current block.
-    s.attended.clear();
-    if (!hsel || hsel->selectAll) {
-        for (uint32_t i = 0; i < past_len; ++i)
-            s.attended.push_back(i);
-    } else {
-        s.attended.assign(hsel->indices.begin(),
-                          hsel->indices.end());
-    }
-    for (uint32_t i = 0; i <= t; ++i)
-        s.attended.push_back(past_len + i);
-
-    s.scores.resize(s.attended.size());
+    scores.resize(count);
     const float scale = 1.0f / std::sqrt((float)head_dim);
-    dotGather(qv, kv.keys.raw() + kv_off, kv.keys.cols(),
-              s.attended.data(), s.attended.size(), head_dim,
-              s.scores.data());
-    for (float &v : s.scores)
+    dotGather(qv, kv.keys.raw() + kv_off, kv.keys.cols(), attended,
+              count, head_dim, scores.data());
+    for (float &v : scores)
         v *= scale;
-    softmax(s.scores.data(),
-            static_cast<uint32_t>(s.scores.size()));
-
-    for (size_t i = 0; i < s.attended.size(); ++i) {
-        const float p = s.scores[i];
-        if (p == 0.0f)
-            continue;
-        const float *vvec = kv.values.row(s.attended[i]) + kv_off;
-        for (uint32_t d = 0; d < head_dim; ++d)
-            ov[d] += p * vvec[d];
-    }
+    softmax(scores.data(), static_cast<uint32_t>(count));
+    axpyGather(scores.data(), kv.values.raw() + kv_off, kv.values.cols(),
+               attended, count, head_dim, ov);
 }
 
 } // namespace
@@ -103,6 +75,7 @@ attentionForward(const ModelConfig &cfg, const Matrix &q,
                  const std::vector<AttentionMember> &members, Matrix &out)
 {
     const uint32_t head_dim = cfg.headDim();
+    const uint32_t group = cfg.groupSize();
     uint32_t rows = 0;
     for (const AttentionMember &m : members) {
         // An empty block reads neither its cache nor its selection.
@@ -111,24 +84,45 @@ attentionForward(const ModelConfig &cfg, const Matrix &q,
         rows += m.rows;
     }
     VREX_ASSERT(q.rows() == rows, "attention rows must tile the members");
+    VREX_ASSERT(cfg.nHeads == cfg.nKvHeads * group,
+                "query heads must split evenly into KV-head groups");
 
     out = Matrix(rows, cfg.dModel);
-    AttendScratch scratch;
+    std::vector<uint32_t> attended;
+    std::vector<float> scores;
 
-    // Heads outer, members next, tokens inner.
-    for (uint32_t h = 0; h < cfg.nHeads; ++h) {
-        const uint32_t kv_head = h / cfg.groupSize();
-        const uint32_t q_off = h * head_dim;
-        const uint32_t kv_off = kv_head * head_dim;
-        uint32_t row = 0;
-        for (const AttentionMember &m : members) {
+    // Members outer, KV heads next. One attended list per (member,
+    // KV head): the selected past, then the whole block. The head's
+    // query heads and every row share it; row t reads its first
+    // nPast + t + 1 entries, the causal prefix.
+    uint32_t row0 = 0;
+    for (const AttentionMember &m : members) {
+        if (m.rows == 0)
+            continue;
+        for (uint32_t kv_head = 0; kv_head < cfg.nKvHeads; ++kv_head) {
             const HeadSelection *hsel =
                 m.sel ? &m.sel->kvHeads[kv_head] : nullptr;
-            for (uint32_t t = 0; t < m.rows; ++t, ++row)
-                attendToken(q.row(row) + q_off, *m.kv, kv_off, head_dim,
-                            m.pastLen, t, hsel, out.row(row) + q_off,
-                            scratch);
+            if (!hsel || hsel->selectAll) {
+                attended.resize(m.pastLen);
+                std::iota(attended.begin(), attended.end(), 0u);
+            } else {
+                attended.assign(hsel->indices.begin(),
+                                hsel->indices.end());
+            }
+            const size_t n_past = attended.size();
+            for (uint32_t t = 0; t < m.rows; ++t)
+                attended.push_back(m.pastLen + t);
+
+            const uint32_t kv_off = kv_head * head_dim;
+            for (uint32_t g = 0; g < group; ++g) {
+                const uint32_t q_off = (kv_head * group + g) * head_dim;
+                for (uint32_t t = 0; t < m.rows; ++t)
+                    attendToken(q.row(row0 + t) + q_off, *m.kv, kv_off,
+                                head_dim, attended.data(), n_past + t + 1,
+                                out.row(row0 + t) + q_off, scores);
+            }
         }
+        row0 += m.rows;
     }
 }
 

@@ -50,8 +50,14 @@ struct AttentionMember
  *                the members own consecutive row ranges, in order.
  * @param members One (cache, past length, selection, rows) per block.
  * @param out     Result, (sum of rows) x dModel (heads concatenated).
- *                Every (row, head) slice is one attendToken() call, so
- *                a member's rows do not depend on its batch peers.
+ *
+ * Each member builds one attended-token list per KV head: its selected
+ * past (all of 0..pastLen under selectAll or a null selection), then
+ * the whole block. The KV head's query heads and every row share that
+ * list; row t attends its first nPast + t + 1 entries, the causal
+ * prefix. Every (row, head) output slice is still computed on its own
+ * (scores by dotGather(), softmax, values by axpyGather()), so a
+ * member's rows do not depend on its batch peers.
  */
 void attentionForward(const ModelConfig &cfg, const Matrix &q,
                       const std::vector<AttentionMember> &members,

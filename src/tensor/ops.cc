@@ -44,9 +44,25 @@ dotGatherF32Scalar(const float *q, const float *base, size_t stride,
         out[i] = dotF32Scalar(q, base + idx[i] * stride, n);
 }
 
+void
+axpyGatherF32Scalar(const float *p, const float *base, size_t stride,
+                    const uint32_t *idx, size_t count, uint32_t n,
+                    float *out)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const float pi = p[i];
+        if (pi == 0.0f)
+            continue;
+        const float *row = base + idx[i] * stride;
+        for (uint32_t d = 0; d < n; ++d)
+            out[d] += pi * row[d];
+    }
+}
+
 std::atomic<DotF32Fn> dotF32Hook{&dotF32Scalar};
 std::atomic<GemmRowsF32Fn> gemmRowsF32Hook{&gemmRowsF32Scalar};
 std::atomic<DotGatherF32Fn> dotGatherF32Hook{&dotGatherF32Scalar};
+std::atomic<AxpyGatherF32Fn> axpyGatherF32Hook{&axpyGatherF32Scalar};
 
 } // namespace detail
 
@@ -70,10 +86,9 @@ matmulTransposedGrouped(const Matrix &a,
                     "grouped matmulT groups must tile the rows");
         next_row = g.rowEnd;
         if (g.rowEnd > g.rowBegin)
-            detail::gemmRowsF32Hook.load(std::memory_order_relaxed)(
-                a.row(g.rowBegin), a.cols(), g.rowEnd - g.rowBegin,
-                g.bT->raw(), g.bT->cols(), g.bT->rows(), a.cols(),
-                out.row(g.rowBegin), out.cols());
+            gemmRows(a.row(g.rowBegin), a.cols(), g.rowEnd - g.rowBegin,
+                     g.bT->raw(), g.bT->cols(), g.bT->rows(), a.cols(),
+                     out.row(g.rowBegin), out.cols());
     }
     VREX_ASSERT(next_row == a.rows(),
                 "grouped matmulT groups must cover every row");

@@ -41,7 +41,20 @@ using DotGatherF32Fn = void (*)(const float *q, const float *base,
                                 size_t stride, const uint32_t *idx,
                                 size_t count, uint32_t n, float *out);
 
-/** Scalar references: they define the canonical order's bits. */
+/**
+ * Gathered accumulation kernel: out[d] += p[i] * (base + idx[i] *
+ * stride)[d] for d < n, i < count, in i order, skipping p[i] == 0.
+ * Each out[d] is one sequential sum over the keys (multiply, then
+ * add), not the canonical 8-lane order.
+ */
+using AxpyGatherF32Fn = void (*)(const float *p, const float *base,
+                                 size_t stride, const uint32_t *idx,
+                                 size_t count, uint32_t n, float *out);
+
+/**
+ * Scalar references: they define the bits (the canonical order for
+ * the dot kernels, the sequential order for the gathered axpy).
+ */
 float dotF32Scalar(const float *a, const float *b, uint32_t n);
 void gemmRowsF32Scalar(const float *a, size_t lda, uint32_t rows,
                        const float *b, size_t ldb, uint32_t cols,
@@ -49,6 +62,9 @@ void gemmRowsF32Scalar(const float *a, size_t lda, uint32_t rows,
 void dotGatherF32Scalar(const float *q, const float *base, size_t stride,
                         const uint32_t *idx, size_t count, uint32_t n,
                         float *out);
+void axpyGatherF32Scalar(const float *p, const float *base, size_t stride,
+                         const uint32_t *idx, size_t count, uint32_t n,
+                         float *out);
 
 /**
  * Active dense kernels. They default to the scalar references; the
@@ -61,6 +77,7 @@ void dotGatherF32Scalar(const float *q, const float *base, size_t stride,
 extern std::atomic<DotF32Fn> dotF32Hook;
 extern std::atomic<GemmRowsF32Fn> gemmRowsF32Hook;
 extern std::atomic<DotGatherF32Fn> dotGatherF32Hook;
+extern std::atomic<AxpyGatherF32Fn> axpyGatherF32Hook;
 
 } // namespace detail
 
@@ -153,6 +170,19 @@ dot(const float *a, const float *b, uint32_t n)
 }
 
 /**
+ * Row-group GEMM: out[i * ldo + j] = dot(a + i * lda, b + j * ldb, k)
+ * for i < rows, j < cols. Dispatched through detail::gemmRowsF32Hook;
+ * each element is bit-identical to dot().
+ */
+inline void
+gemmRows(const float *a, size_t lda, uint32_t rows, const float *b,
+         size_t ldb, uint32_t cols, uint32_t k, float *out, size_t ldo)
+{
+    detail::gemmRowsF32Hook.load(std::memory_order_relaxed)(
+        a, lda, rows, b, ldb, cols, k, out, ldo);
+}
+
+/**
  * Score one query against gathered rows: out[i] = dot(q, base +
  * idx[i] * stride, n) for i < count. Dispatched through
  * detail::dotGatherF32Hook; each score is bit-identical to dot().
@@ -163,6 +193,21 @@ dotGather(const float *q, const float *base, size_t stride,
 {
     detail::dotGatherF32Hook.load(std::memory_order_relaxed)(
         q, base, stride, idx, count, n, out);
+}
+
+/**
+ * Accumulate probability-weighted gathered rows: out[d] += p[i] *
+ * (base + idx[i] * stride)[d] for d < n and i < count, keys in i
+ * order, keys with p[i] == 0 skipped — attention's p·V. Dispatched
+ * through detail::axpyGatherF32Hook; every variant matches
+ * detail::axpyGatherF32Scalar bit for bit.
+ */
+inline void
+axpyGather(const float *p, const float *base, size_t stride,
+           const uint32_t *idx, size_t count, uint32_t n, float *out)
+{
+    detail::axpyGatherF32Hook.load(std::memory_order_relaxed)(
+        p, base, stride, idx, count, n, out);
 }
 
 /** L2 norm. */

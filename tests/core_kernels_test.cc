@@ -4,13 +4,16 @@
  * dispatched kernels (core/kernels): every compiled ISA variant must
  * produce output exactly equal to the scalar reference — for the raw
  * DRE and dense kernels, end-to-end through BitSig / HashEncoder /
- * HCTable / WiCSum, and through a whole ReSV streaming session. Also covers the dispatch plumbing itself (selection,
- * overrides, unavailable ISAs) and the hardening added alongside it
- * (width-mismatch assert, debug bounds asserts, bitWords overflow).
+ * HCTable / WiCSum and attentionForward, and through a whole ReSV
+ * streaming session. Also covers the dispatch plumbing itself
+ * (selection, overrides, unavailable ISAs) and the hardening added
+ * alongside it (width-mismatch assert, debug bounds asserts, bitWords
+ * overflow).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -25,6 +28,7 @@
 #include "core/kernels.hh"
 #include "core/resv.hh"
 #include "core/wicsum.hh"
+#include "llm/attention.hh"
 #include "pipeline/streaming_session.hh"
 #include "tensor/matrix.hh"
 #include "tensor/ops.hh"
@@ -600,6 +604,66 @@ TEST_F(CoreKernelsTest, DenseDotGatherEquivalence)
     }
 }
 
+TEST_F(CoreKernelsTest, DenseAxpyGatherEquivalence)
+{
+    const auto ops = runnableOps();
+    const uint32_t nKeys = 40;
+    const float sentinel = -4242.0f;
+    for (Fill fill : kFills) {
+        for (uint32_t n : kDenseWidths) {
+            // Value rows sit at a column offset inside wider rows, as
+            // one head's slice of a KV cache row does.
+            const size_t offset = 3, stride = n + 11;
+            const auto values = denseValues(rng, nKeys * stride, fill);
+            for (size_t count : {size_t(0), size_t(1), size_t(3),
+                                 size_t(4), size_t(5), size_t(9),
+                                 size_t(37)}) {
+                std::vector<uint32_t> idx(count);
+                for (uint32_t &i : idx)  // Repeats and any order.
+                    i = static_cast<uint32_t>(rng.uniformInt(nKeys));
+                auto p = denseValues(rng, count, fill);
+                // Exact zeros take the skip path; -0 must skip too.
+                for (size_t i = 0; i < count; i += 3)
+                    p[i] = (i % 2) ? -0.0f : 0.0f;
+                // A nonzero start: the kernel accumulates into out.
+                std::vector<float> start = denseValues(rng, n, fill);
+                start.push_back(sentinel);
+
+                std::vector<float> want = start;
+                detail::axpyGatherF32Scalar(p.data(),
+                                            values.data() + offset, stride,
+                                            idx.data(), count, n,
+                                            want.data());
+                // The reference is the sequential per-element sum.
+                for (uint32_t d = 0; d < n; ++d) {
+                    float acc = start[d];
+                    for (size_t i = 0; i < count; ++i)
+                        if (p[i] != 0.0f)
+                            acc += p[i] *
+                                values[offset + idx[i] * stride + d];
+                    ASSERT_TRUE(sameFloat(want[d], acc)) << "d=" << d;
+                }
+                ASSERT_EQ(want[n], sentinel);
+                for (const auto &[isa, table] : ops) {
+                    std::vector<float> got = start;
+                    table->axpyGatherF32(p.data(), values.data() + offset,
+                                         stride, idx.data(), count, n,
+                                         got.data());
+                    for (size_t d = 0; d < n; ++d)
+                        ASSERT_TRUE(sameFloat(got[d], want[d]))
+                            << "isa=" << kernels::isaName(isa)
+                            << " n=" << n << " count=" << count
+                            << " fill=" << static_cast<int>(fill)
+                            << " d=" << d;
+                    ASSERT_EQ(got[n], sentinel)
+                        << "isa=" << kernels::isaName(isa) << " n=" << n
+                        << " wrote past the row";
+                }
+            }
+        }
+    }
+}
+
 TEST_F(CoreKernelsTest, DenseHooksFollowTheSelection)
 {
     const auto a = denseValues(rng, 1027, Fill::Gaussian);
@@ -613,8 +677,152 @@ TEST_F(CoreKernelsTest, DenseHooksFollowTheSelection)
                   kernels::active().gemmRowsF32);
         EXPECT_EQ(detail::dotGatherF32Hook.load(),
                   kernels::active().dotGatherF32);
+        EXPECT_EQ(detail::axpyGatherF32Hook.load(),
+                  kernels::active().axpyGatherF32);
         EXPECT_TRUE(sameFloat(dot(a.data(), b.data(), 1027), want))
             << kernels::isaName(isa);
+    }
+}
+
+// ---------------------------------------------------------------------
+// attentionForward on the dispatched kernels == the per-(head, row)
+// loop on the scalar references, bit for bit, under every ISA.
+// ---------------------------------------------------------------------
+
+/**
+ * Reference attention: for every query head, member and row, build
+ * the attended list (selected past, then the causal block prefix),
+ * score it with the scalar canonical dot, softmax, and add p·V one
+ * key at a time in the sequential order, skipping p == 0.
+ */
+Matrix
+referenceAttention(const ModelConfig &cfg, const Matrix &q,
+                   const std::vector<AttentionMember> &members)
+{
+    const uint32_t head_dim = cfg.headDim();
+    Matrix out(q.rows(), cfg.dModel);
+    std::vector<uint32_t> attended;
+    std::vector<float> scores;
+    for (uint32_t h = 0; h < cfg.nHeads; ++h) {
+        const uint32_t kv_head = h / cfg.groupSize();
+        const uint32_t q_off = h * head_dim;
+        const uint32_t kv_off = kv_head * head_dim;
+        uint32_t row = 0;
+        for (const AttentionMember &m : members) {
+            const HeadSelection *hsel =
+                m.sel ? &m.sel->kvHeads[kv_head] : nullptr;
+            for (uint32_t t = 0; t < m.rows; ++t, ++row) {
+                attended.clear();
+                if (!hsel || hsel->selectAll) {
+                    for (uint32_t i = 0; i < m.pastLen; ++i)
+                        attended.push_back(i);
+                } else {
+                    attended = hsel->indices;
+                }
+                for (uint32_t i = 0; i <= t; ++i)
+                    attended.push_back(m.pastLen + i);
+                scores.resize(attended.size());
+                const float scale = 1.0f / std::sqrt((float)head_dim);
+                for (size_t i = 0; i < attended.size(); ++i)
+                    scores[i] = detail::dotF32Scalar(
+                                    q.row(row) + q_off,
+                                    m.kv->keys.row(attended[i]) + kv_off,
+                                    head_dim) *
+                        scale;
+                softmax(scores.data(),
+                        static_cast<uint32_t>(scores.size()));
+                float *ov = out.row(row) + q_off;
+                for (size_t i = 0; i < attended.size(); ++i) {
+                    const float p = scores[i];
+                    if (p == 0.0f)
+                        continue;
+                    const float *vvec =
+                        m.kv->values.row(attended[i]) + kv_off;
+                    for (uint32_t d = 0; d < head_dim; ++d)
+                        ov[d] += p * vvec[d];
+                }
+            }
+        }
+    }
+    return out;
+}
+
+TEST_F(CoreKernelsTest, AttentionMatchesPerHeadRowReference)
+{
+    // head_dim 16 (tiny), 32, 10 (a masked second accumulator) and
+    // 6 (one masked accumulator); group sizes 2 and 4.
+    std::vector<ModelConfig> geometries{ModelConfig::tiny(),
+                                        ModelConfig::smallVideo()};
+    ModelConfig ragged = ModelConfig::tiny();
+    ragged.dModel = 60;
+    ragged.nHeads = 6;
+    ragged.nKvHeads = 3;
+    geometries.push_back(ragged);
+    ModelConfig narrow = ModelConfig::tiny();
+    narrow.dModel = 24;
+    narrow.nHeads = 4;
+    narrow.nKvHeads = 1;
+    geometries.push_back(narrow);
+
+    for (const ModelConfig &cfg : geometries) {
+        const uint32_t kv_dim = cfg.nKvHeads * cfg.headDim();
+        // (pastLen, rows) per member: ragged blocks, a member with
+        // no past, and an empty block between the others.
+        const std::pair<uint32_t, uint32_t> shapes[] = {
+            {9, 3}, {0, 4}, {0, 0}, {23, 1}, {5, 6}, {14, 2}};
+        std::vector<LayerKV> caches(std::size(shapes));
+        std::vector<LayerSelection> sels(std::size(shapes));
+        std::vector<AttentionMember> members;
+        uint32_t rows = 0;
+        for (size_t i = 0; i < std::size(shapes); ++i) {
+            const auto [past, block] = shapes[i];
+            if (block == 0) {
+                members.push_back({nullptr, past, nullptr, 0});
+                continue;
+            }
+            LayerKV &kv = caches[i];
+            kv.keys = Matrix(past + block, kv_dim);
+            kv.values = Matrix(past + block, kv_dim);
+            rng.fillGaussian(kv.keys.raw(), kv.keys.size(), 1.0f);
+            rng.fillGaussian(kv.values.raw(), kv.values.size(), 1.0f);
+            // Member 0 and the no-past member attend the full cache
+            // through a null selection; the others mix selectAll,
+            // empty and explicit per-head lists.
+            const LayerSelection *sel = nullptr;
+            if (past > 0 && i != 0) {
+                LayerSelection &s = sels[i];
+                s.kvHeads.resize(cfg.nKvHeads);
+                for (uint32_t h = 0; h < cfg.nKvHeads; ++h) {
+                    HeadSelection &hs = s.kvHeads[h];
+                    const uint32_t mode = (h + i) % 3;
+                    hs.selectAll = mode == 0;
+                    if (mode == 2)
+                        for (uint32_t t = 0; t < past; ++t)
+                            if (rng.uniformInt(2))
+                                hs.indices.push_back(t);
+                }
+                sel = &s;
+            }
+            members.push_back({&kv, past, sel, block});
+            rows += block;
+        }
+        Matrix q(rows, cfg.nHeads * cfg.headDim());
+        rng.fillGaussian(q.raw(), q.size(), 1.0f);
+
+        const Matrix want = referenceAttention(cfg, q, members);
+        for (kernels::Isa isa : runnableIsas()) {
+            ForcedIsa guard(isa);
+            ASSERT_TRUE(guard.ok());
+            Matrix got;
+            attentionForward(cfg, q, members, got);
+            ASSERT_EQ(got.rows(), want.rows());
+            ASSERT_EQ(got.cols(), want.cols());
+            for (size_t e = 0; e < got.size(); ++e)
+                ASSERT_TRUE(sameFloat(got.raw()[e], want.raw()[e]))
+                    << "isa=" << kernels::isaName(isa) << " cfg="
+                    << cfg.name << " head_dim=" << cfg.headDim()
+                    << " elem=" << e;
+        }
     }
 }
 

@@ -20,7 +20,9 @@
  *    the scheduler shape zoo; the default budget of 0 changes
  *    nothing;
  *  - restore() refuses state shapes the session would later index
- *    out of bounds (crafted blobs with a valid footer);
+ *    out of bounds (crafted blobs with a valid footer), and a seeded
+ *    fuzz of resealed ReSV blobs (byte flips, truncations, inflated
+ *    lengths) only ever restores or throws serial::SerialError;
  *  - the Engine interns one SessionWeights per master seed: creates,
  *    closes, wakes and concurrent creators all share it, Stats::kv
  *    counts its bytes once, and a stream whose latentDim the vision
@@ -409,6 +411,95 @@ TEST(SessionSerialize, RejectsIdentityMismatch)
     serve::PolicyInstance p4;
     StreamingSession policied = freshSession(model, spec, 21, p4);
     EXPECT_THROW(policied.restore(bare_blob), serial::SerialError);
+}
+
+TEST(SessionSerialize, SeededRestoreFuzzOnlyThrowsSerialError)
+{
+    // A real ReSV blob (HC tables, counters, KV cache, stream state),
+    // mutated ~2000 times under a fixed seed: byte flips, truncations
+    // and length-like fields inflated to 2^31 / 2^63. Every mutant is
+    // resealed with a valid footer so the payload parsers are reached.
+    // Each restore must succeed or throw serial::SerialError; any
+    // other exception fails the test, and a crash or ASan report
+    // fails the suite.
+    const ModelConfig model = ModelConfig::tiny();
+    const serve::PolicySpec spec = serve::PolicySpec::resv();
+    const uint64_t seed = 31;
+    const SessionScript script = randomVerbScript(4242, 2);
+    serve::PolicyInstance p1;
+    StreamingSession s1 = freshSession(model, spec, seed, p1);
+    s1.begin(script.name, script.video, script.seed);
+    for (size_t e = 0; e < std::min<size_t>(script.events.size(), 8); ++e)
+        s1.apply(script.events[e]);
+    const std::vector<uint8_t> blob = s1.serialize();
+    const size_t footer = sizeof(uint64_t);
+    const size_t header = 2 * sizeof(uint32_t);
+    ASSERT_GT(blob.size(), header + footer + 64);
+    const size_t body = blob.size() - footer;
+
+    // Offsets whose u64 / u32 reads like a count or length: the
+    // fields an inflated length would target.
+    std::vector<size_t> len64, len32;
+    for (size_t at = header; at + sizeof(uint64_t) <= body; ++at) {
+        uint64_t v64;
+        std::memcpy(&v64, blob.data() + at, sizeof(v64));
+        if (v64 >= 1 && v64 <= (uint64_t(1) << 24))
+            len64.push_back(at);
+    }
+    for (size_t at = header; at + sizeof(uint32_t) <= body; ++at) {
+        uint32_t v32;
+        std::memcpy(&v32, blob.data() + at, sizeof(v32));
+        if (v32 >= 1 && v32 <= (1u << 24))
+            len32.push_back(at);
+    }
+    ASSERT_FALSE(len64.empty());
+    ASSERT_FALSE(len32.empty());
+
+    // Every mutant restores onto a fresh session over one shared
+    // weight set, as an engine wake does.
+    const auto weights = std::make_shared<const SessionWeights>(model, seed);
+    Rng rng(0xf022u);
+    const uint64_t inflated64[] = {uint64_t(1) << 31, uint64_t(1) << 63,
+                                   ~uint64_t(0)};
+    const uint32_t inflated32[] = {1u << 31, ~0u};
+    size_t restored = 0, refused = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::vector<uint8_t> bad = blob;
+        const uint64_t kind = rng.uniformInt(4);
+        if (kind == 0) {
+            // One to four flipped bits anywhere past the header.
+            const uint64_t flips = 1 + rng.uniformInt(4);
+            for (uint64_t f = 0; f < flips; ++f)
+                bad[header + rng.uniformInt(body - header)] ^=
+                    static_cast<uint8_t>(1u << rng.uniformInt(8));
+        } else if (kind == 1) {
+            // Truncated payload under a fresh footer.
+            const size_t keep = header + rng.uniformInt(body - header);
+            bad.resize(keep + footer);
+        } else if (kind == 2) {
+            const size_t at = len64[rng.uniformInt(len64.size())];
+            const uint64_t v = inflated64[rng.uniformInt(3)];
+            std::memcpy(bad.data() + at, &v, sizeof(v));
+        } else {
+            const size_t at = len32[rng.uniformInt(len32.size())];
+            const uint32_t v = inflated32[rng.uniformInt(2)];
+            std::memcpy(bad.data() + at, &v, sizeof(v));
+        }
+        resealBlob(bad);
+
+        serve::PolicyInstance p2 = serve::makePolicy(model, spec);
+        StreamingSession s2(weights, p2.active());
+        try {
+            s2.restore(bad);
+            ++restored;
+        } catch (const serial::SerialError &) {
+            ++refused;
+        }
+    }
+    EXPECT_EQ(restored + refused, 2000u);
+    // Truncations and inflated lengths must be refused, so a fair
+    // share of the mutants is.
+    EXPECT_GT(refused, 500u);
 }
 
 TEST(RestoreShapes, FrameGeneratorRefusesShapesItWouldOverrun)
