@@ -2,9 +2,10 @@
  * @file
  * Micro-benchmarks of the kernels behind the runtime dispatch layer
  * (core/kernels): XOR+popcount Hamming, hash-bit encoding, WiCSum
- * min/max + bucket-membership scan — the software-side counterparts
- * of the HCU and WTU — and the dense panel (canonical 8-lane dot,
- * tiled GEMM/GEMV, gathered attention scoring and p·V), plus a
+ * min/max + bucket-membership scan, the HC-table scan — the
+ * software-side counterparts of the HCU and WTU — and the dense panel
+ * (canonical 8-lane dot, tiled GEMM/GEMV, gathered attention scoring
+ * and p·V, ReSV's fused score-max), plus a
  * continuity panel for the surrounding operations (cosine similarity,
  * HC-table insert, the reference WiCSum sort).
  *
@@ -159,6 +160,21 @@ runKernelRows(std::vector<RowResult> &rows)
             }));
     }
 
+    // --- HCU scan: one N_hp = 32 signature against a 128-cluster
+    // table, nothing within Th_hd (random signatures sit ~16 bits
+    // apart), so every row is compared. ---------------------------
+    {
+        const uint32_t n = 128;
+        std::vector<uint64_t> table = randomWords(rng, n);
+        for (auto &w : table)
+            w &= 0xffffffffull;
+        const uint64_t sig = rng.nextU64() & 0xffffffffull;
+        rows.push_back(measureRow("hamming", "hc scan nbits=32 n=128", [&] {
+            sinkU64 = sinkU64 + kernels::active().hammingNearest(
+                                    table.data(), n, 1, &sig, 7);
+        }));
+    }
+
     // --- Hash-bit encode (end-to-end HashEncoder::encode). ---------
     for (uint32_t nbits : {32u, 512u}) {
         const uint32_t dim = 128;
@@ -250,6 +266,22 @@ runKernelRows(std::vector<RowResult> &rows)
                                             out.data());
             sinkF32 = sinkF32 + out[0];
         }));
+    }
+    {
+        // ReSV's candidate scoring for one query head: a 16-token
+        // block of 16-wide queries against 64 contiguous centroids,
+        // max-pooled into the candidates' running scores.
+        const uint32_t rowsQ = 16, n = 64, hd = 16;
+        const auto q = randomKeys(rowsQ, hd, 26);
+        const auto cents = randomKeys(n, hd, 27);
+        std::vector<float> raw(n, -1e30f);
+        rows.push_back(measureRow(
+            "dense", "resv score-max k=16 rows=16 n=64", [&] {
+                kernels::active().gemmRowsMaxF32(q.data(), hd, rowsQ,
+                                                 cents.data(), hd, n, hd,
+                                                 0.25f, raw.data());
+                sinkF32 = sinkF32 + raw[0];
+            }));
     }
 }
 

@@ -56,8 +56,8 @@ main()
     // Cluster size histogram (ASCII).
     std::printf("\ncluster size distribution:\n");
     std::vector<uint32_t> sizes;
-    for (const auto &c : table.clusters())
-        sizes.push_back(c.tokenCount());
+    for (uint32_t c = 0; c < table.clusterCount(); ++c)
+        sizes.push_back(table.clusterSize(c));
     std::sort(sizes.rbegin(), sizes.rend());
     uint32_t shown = std::min<size_t>(sizes.size(), 12);
     for (uint32_t i = 0; i < shown; ++i) {

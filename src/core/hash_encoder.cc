@@ -46,8 +46,14 @@ BitSig
 HashEncoder::encode(const float *key) const
 {
     BitSig sig(nBits);
-    kernels::active().hashEncode(planesView(), key, sig.rawMutable());
+    encode(key, sig.rawMutable());
     return sig;
+}
+
+void
+HashEncoder::encode(const float *key, uint64_t *words) const
+{
+    kernels::active().hashEncode(planesView(), key, words);
 }
 
 std::vector<BitSig>

@@ -45,6 +45,13 @@ class HashEncoder
     /** Signature of one key vector of length keyDim(). */
     BitSig encode(const float *key) const;
 
+    /**
+     * Signature of one key vector into @p words, which must hold
+     * bitWords(bits()) words (fully rewritten, padding zeroed): the
+     * allocation-free form the HC-table insert path uses.
+     */
+    void encode(const float *key, uint64_t *words) const;
+
     /** Signatures for each row of @p keys (cols == keyDim()). */
     std::vector<BitSig> encodeRows(const Matrix &keys) const;
 

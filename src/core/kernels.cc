@@ -45,6 +45,28 @@ hashEncodeScalar(const HashPlanes &p, const float *key, uint64_t *words)
     }
 }
 
+} // namespace
+
+uint32_t
+hammingNearestScalar(const uint64_t *table, uint32_t count, size_t nwords,
+                     const uint64_t *sig, uint32_t limit)
+{
+    uint32_t best = count;
+    uint64_t best_dist = static_cast<uint64_t>(limit) + 1;
+    for (uint32_t c = 0; c < count; ++c) {
+        const uint32_t d = vrex::detail::hammingWordsScalar(
+            table + c * nwords, sig, nwords);
+        if (d < best_dist) {
+            best_dist = d;
+            best = c;
+        }
+    }
+    return best;
+}
+
+namespace
+{
+
 void
 minMaxF32Scalar(const float *s, size_t n, float *lo, float *hi)
 {
@@ -76,11 +98,13 @@ rangeBitmapScalar(const float *s, size_t n, double lower, double upper,
 const Ops kScalarOps = {
     "scalar",
     &vrex::detail::hammingWordsScalar,
+    &hammingNearestScalar,
     &hashEncodeScalar,
     &minMaxF32Scalar,
     &rangeBitmapScalar,
     &vrex::detail::dotF32Scalar,
     &vrex::detail::gemmRowsF32Scalar,
+    &vrex::detail::gemmRowsMaxF32Scalar,
     &vrex::detail::dotGatherF32Scalar,
     &vrex::detail::axpyGatherF32Scalar,
 };
@@ -106,6 +130,8 @@ install(const Ops *ops, Isa isa)
                                    std::memory_order_release);
     vrex::detail::gemmRowsF32Hook.store(ops->gemmRowsF32,
                                         std::memory_order_release);
+    vrex::detail::gemmRowsMaxF32Hook.store(ops->gemmRowsMaxF32,
+                                           std::memory_order_release);
     vrex::detail::dotGatherF32Hook.store(ops->dotGatherF32,
                                          std::memory_order_release);
     vrex::detail::axpyGatherF32Hook.store(ops->axpyGatherF32,

@@ -15,23 +15,30 @@
  * Every variant of every kernel produces output *bit-identical* to the
  * scalar reference, so switching ISAs can never move a figure metric:
  *
- *  - `hammingWords`, `rangeBitmap`: exact integer / exact-predicate
- *    kernels — equality is unconditional.
+ *  - `hammingWords`, `hammingNearest`, `rangeBitmap`: exact integer /
+ *    exact-predicate kernels — equality is unconditional.
+ *    `hammingNearest` is the HCU scan: the first-minimum loop over a
+ *    contiguous signature table, so ties resolve to the lowest index
+ *    on every ISA.
  *  - `minMaxF32`: min/max are value-exact regardless of evaluation
  *    order (inputs must be NaN-free, which the score pipeline
  *    guarantees).
- *  - `dotF32`, `gemmRowsF32`, `dotGatherF32`: the canonical 8-lane FP
- *    order of tensor `dot()` (see tensor/ops.hh). Lane l sums
- *    a[8i+l] * b[8i+l] in i order, the ragged tail adds into the
- *    first n % 8 lanes, and the fixed tree ((s0+s4)+(s2+s6)) +
- *    ((s1+s5)+(s3+s7)) combines them. One 256-bit accumulator holds
+ *  - `dotF32`, `gemmRowsF32`, `gemmRowsMaxF32`, `dotGatherF32`: the
+ *    canonical 8-lane FP order of tensor `dot()` (see tensor/ops.hh).
+ *    Lane l sums a[8i+l] * b[8i+l] in i order, the ragged tail adds
+ *    into the first n % 8 lanes, and the fixed tree ((s0+s4)+(s2+s6))
+ *    + ((s1+s5)+(s3+s7)) combines them. One 256-bit accumulator holds
  *    exactly those eight lanes; the GEMM keeps four weight rows'
  *    accumulators in registers and the gather four keys', but every
  *    output element is still one canonical dot. The scalar entries
  *    are the tensor layer's references, and the selected entries are
  *    installed into tensor's hooks (`detail::dotF32Hook` and
- *    friends), so `dot()`, `matmulTransposedGrouped()` and
- *    attention scoring run them.
+ *    friends), so `dot()`, `matmulTransposedGrouped()`, attention
+ *    scoring and ReSV's candidate scoring run them.
+ *    `gemmRowsMaxF32` folds each scaled dot into its column with
+ *    `std::max(raw, v)`, rows in order; the AVX2 `maxps(v, raw)`
+ *    returns its second operand on ties (±0) and on NaN, exactly as
+ *    std::max keeps `raw`.
  *  - `hashEncode`: each signature bit is the sign of a float dot
  *    product in its own *sequential* order (one running sum over the
  *    key dimension), not the canonical 8-lane order, so the hash bits
@@ -105,9 +112,22 @@ struct Ops
 {
     const char *name;
 
-    /** Popcount of the XOR of two n-word packed bit vectors. */
+    /**
+     * Popcount of the XOR of two n-word packed bit vectors
+     * (BitSig::hamming; the HC table scans with hammingNearest).
+     */
     uint32_t (*hammingWords)(const uint64_t *a, const uint64_t *b,
                              size_t n);
+
+    /**
+     * HCU scan over @p count signatures of @p nwords words each,
+     * stored back to back at @p table: the lowest index whose Hamming
+     * distance to @p sig is minimal, provided that distance is
+     * <= @p limit; @p count when no signature is that close.
+     */
+    uint32_t (*hammingNearest)(const uint64_t *table, uint32_t count,
+                               size_t nwords, const uint64_t *sig,
+                               uint32_t limit);
 
     /**
      * Sign-hash one key vector: words[b>>6] bit (b&63) = one iff
@@ -142,6 +162,13 @@ struct Ops
     vrex::detail::GemmRowsF32Fn gemmRowsF32;
 
     /**
+     * The GEMM fused with a column max-pool: raw[j] = std::max(raw[j],
+     * dot(a row i, b row j) * scale), rows i in order — ReSV's
+     * candidate scoring without a score matrix.
+     */
+    vrex::detail::GemmRowsMaxF32Fn gemmRowsMaxF32;
+
+    /**
      * One query scored against key rows given by index: out[i] =
      * dot(q, base + idx[i] * stride) — attention's per-(head, query)
      * scoring.
@@ -158,6 +185,11 @@ struct Ops
 
 /** The scalar reference table (always compiled). */
 const Ops &scalarOps();
+
+/** Scalar reference of Ops::hammingNearest (NEON's entry too). */
+uint32_t hammingNearestScalar(const uint64_t *table, uint32_t count,
+                              size_t nwords, const uint64_t *sig,
+                              uint32_t limit);
 
 /**
  * The active table. First use resolves `VREX_KERNELS` (default: auto,

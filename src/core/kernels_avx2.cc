@@ -8,9 +8,11 @@
  * Numeric contract (see kernels.hh): hashEncode assigns one signature
  * bit per float lane and walks the key dimension sequentially with
  * unfused mul+add, so each lane reproduces the scalar encode loop's
- * rounding exactly. The dense kernels (dot, GEMM, gather) hold the
- * canonical order's eight lane sums in one 256-bit accumulator per
- * output and combine them with the canonical tree. The gathered axpy
+ * rounding exactly. The dense kernels (dot, GEMM, fused score-max,
+ * gather) hold the canonical order's eight lane sums in one 256-bit
+ * accumulator per output and combine them with the canonical tree; the
+ * score-max folds each scaled dot with maxps(v, raw), which keeps raw
+ * on ties and NaN exactly as std::max(raw, v) does. The gathered axpy
  * (attention's p·V) puts one output element per lane and walks the
  * keys sequentially, the scalar loop's order. -mno-fma plus the
  * global -ffp-contract=off guarantee the compiler cannot fuse the
@@ -74,6 +76,76 @@ hammingWordsAvx2(const uint64_t *a, const uint64_t *b, size_t n)
     for (; w < n; ++w)
         dist += static_cast<uint64_t>(std::popcount(a[w] ^ b[w]));
     return static_cast<uint32_t>(dist);
+}
+
+/**
+ * HCU scan. One-word signatures (N_hp <= 64, the paper's 32) go four
+ * to a register: popcount256's SAD leaves each signature's distance in
+ * its own 64-bit lane, and a lane compare against the best distance so
+ * far filters the rare blocks that can change the answer. Those are
+ * walked lane by lane in index order, so the first minimum wins as in
+ * the scalar loop. Wider signatures take the per-signature word
+ * kernel. Once a distance of 0 is found nothing later can replace it.
+ */
+uint32_t
+hammingNearestAvx2(const uint64_t *table, uint32_t count, size_t nwords,
+                   const uint64_t *sig, uint32_t limit)
+{
+    uint32_t best = count;
+    uint64_t best_dist = static_cast<uint64_t>(limit) + 1;
+    if (nwords != 1) {
+        for (uint32_t c = 0; c < count; ++c) {
+            const uint32_t d =
+                hammingWordsAvx2(table + c * nwords, sig, nwords);
+            if (d < best_dist) {
+                best_dist = d;
+                best = c;
+                if (d == 0)
+                    break;
+            }
+        }
+        return best;
+    }
+
+    const __m256i s = _mm256_set1_epi64x(static_cast<long long>(sig[0]));
+    __m256i bestv = _mm256_set1_epi64x(static_cast<long long>(best_dist));
+    // Distances of block c (its first @p live lanes valid). Returns
+    // true once a distance of 0 settles the scan.
+    auto visit = [&](__m256i d, __m256i valid, uint32_t c, uint32_t live) {
+        const __m256i closer =
+            _mm256_and_si256(_mm256_cmpgt_epi64(bestv, d), valid);
+        if (_mm256_testz_si256(closer, closer))
+            return false;
+        alignas(32) uint64_t lanes[4];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), d);
+        for (uint32_t l = 0; l < live; ++l) {
+            if (lanes[l] < best_dist) {
+                best_dist = lanes[l];
+                best = c + l;
+            }
+        }
+        bestv = _mm256_set1_epi64x(static_cast<long long>(best_dist));
+        return best_dist == 0;
+    };
+    const __m256i all = _mm256_set1_epi64x(-1);
+    uint32_t c = 0;
+    for (; c + 4 <= count; c += 4) {
+        const __m256i w = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(table + c));
+        if (visit(popcount256(_mm256_xor_si256(w, s)), all, c, 4))
+            return best;
+    }
+    if (c < count) {
+        // Ragged last block: load only the live lanes and mask the
+        // rest out of the compare.
+        const uint32_t live = count - c;
+        const __m256i m = _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(live), _mm256_setr_epi64x(0, 1, 2, 3));
+        const __m256i w = _mm256_maskload_epi64(
+            reinterpret_cast<const long long *>(table + c), m);
+        visit(popcount256(_mm256_xor_si256(w, s)), m, c, live);
+    }
+    return best;
 }
 
 void
@@ -265,12 +337,12 @@ dotF32Avx2(const float *a, const float *b, uint32_t n)
 }
 
 /**
- * Four canonical dots of @p x against @p b0..b3, written to o[0..3]:
- * four independent accumulators, so the adds of four rows overlap.
+ * Four canonical dots of @p x against @p b0..b3, in lanes 0..3: four
+ * independent accumulators, so the adds of four rows overlap.
  */
-inline void
+inline __m128
 dot4(const float *x, const float *b0, const float *b1, const float *b2,
-     const float *b3, uint32_t n, float *o)
+     const float *b3, uint32_t n)
 {
     const uint32_t body = n & ~7u;
     __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
@@ -289,7 +361,7 @@ dot4(const float *x, const float *b0, const float *b1, const float *b2,
         s2 = mulAdd(s2, xv, _mm256_maskload_ps(b2 + body, m));
         s3 = mulAdd(s3, xv, _mm256_maskload_ps(b3 + body, m));
     }
-    _mm_storeu_ps(o, reduceCanonical4(s0, s1, s2, s3));
+    return reduceCanonical4(s0, s1, s2, s3);
 }
 
 void
@@ -303,12 +375,40 @@ gemmRowsF32Avx2(const float *a, size_t lda, uint32_t rows, const float *b,
     for (; j + 4 <= cols; j += 4) {
         const float *b0 = b + j * ldb;
         for (uint32_t i = 0; i < rows; ++i)
-            dot4(a + i * lda, b0, b0 + ldb, b0 + 2 * ldb, b0 + 3 * ldb, k,
-                 out + i * ldo + j);
+            _mm_storeu_ps(out + i * ldo + j,
+                          dot4(a + i * lda, b0, b0 + ldb, b0 + 2 * ldb,
+                               b0 + 3 * ldb, k));
     }
     for (; j < cols; ++j)
         for (uint32_t i = 0; i < rows; ++i)
             out[i * ldo + j] = dotF32Avx2(a + i * lda, b + j * ldb, k);
+}
+
+void
+gemmRowsMaxF32Avx2(const float *a, size_t lda, uint32_t rows,
+                   const float *b, size_t ldb, uint32_t cols, uint32_t k,
+                   float scale, float *raw)
+{
+    // Four candidate columns' running maxima stay in one register
+    // while every row is scored against them, rows in order.
+    const __m128 vscale = _mm_set1_ps(scale);
+    uint32_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+        const float *b0 = b + j * ldb;
+        __m128 m = _mm_loadu_ps(raw + j);
+        for (uint32_t i = 0; i < rows; ++i)
+            m = _mm_max_ps(
+                _mm_mul_ps(dot4(a + i * lda, b0, b0 + ldb, b0 + 2 * ldb,
+                                b0 + 3 * ldb, k),
+                           vscale),
+                m);
+        _mm_storeu_ps(raw + j, m);
+    }
+    for (; j < cols; ++j)
+        for (uint32_t i = 0; i < rows; ++i)
+            raw[j] = std::max(raw[j],
+                              dotF32Avx2(a + i * lda, b + j * ldb, k) *
+                                  scale);
 }
 
 void
@@ -318,9 +418,11 @@ dotGatherF32Avx2(const float *q, const float *base, size_t stride,
 {
     size_t i = 0;
     for (; i + 4 <= count; i += 4)
-        dot4(q, base + idx[i] * stride, base + idx[i + 1] * stride,
-             base + idx[i + 2] * stride, base + idx[i + 3] * stride, n,
-             out + i);
+        _mm_storeu_ps(out + i,
+                      dot4(q, base + idx[i] * stride,
+                           base + idx[i + 1] * stride,
+                           base + idx[i + 2] * stride,
+                           base + idx[i + 3] * stride, n));
     for (; i < count; ++i)
         out[i] = dotF32Avx2(q, base + idx[i] * stride, n);
 }
@@ -386,11 +488,13 @@ axpyGatherF32Avx2(const float *p, const float *base, size_t stride,
 const Ops kAvx2Ops = {
     "avx2",
     &hammingWordsAvx2,
+    &hammingNearestAvx2,
     &hashEncodeAvx2,
     &minMaxF32Avx2,
     &rangeBitmapAvx2,
     &dotF32Avx2,
     &gemmRowsF32Avx2,
+    &gemmRowsMaxF32Avx2,
     &dotGatherF32Avx2,
     &axpyGatherF32Avx2,
 };

@@ -9,9 +9,9 @@
  * *unfused* vmul+vadd — never vfma — and the whole project builds
  * with -ffp-contract=off, so each lane reproduces the scalar
  * hashEncode's sequential rounding exactly. minMax, Hamming and the
- * range bitmap are integer or exact-predicate operations; the dense
- * float kernels (dot, GEMM, gather, gathered axpy) point at the scalar
- * references.
+ * range bitmap are integer or exact-predicate operations; the HCU scan
+ * (hammingNearest) and the dense float kernels (dot, GEMM, fused
+ * score-max, gather, gathered axpy) point at the scalar references.
  */
 
 #include "core/kernels.hh"
@@ -159,6 +159,7 @@ rangeBitmapNeon(const float *s, size_t n, double lower, double upper,
 const Ops kNeonOps = {
     "neon",
     &hammingWordsNeon,
+    &hammingNearestScalar,
     &hashEncodeNeon,
     &minMaxF32Neon,
     &rangeBitmapNeon,
@@ -166,6 +167,7 @@ const Ops kNeonOps = {
     // variant can be verified on an aarch64 host.
     &vrex::detail::dotF32Scalar,
     &vrex::detail::gemmRowsF32Scalar,
+    &vrex::detail::gemmRowsMaxF32Scalar,
     &vrex::detail::dotGatherF32Scalar,
     &vrex::detail::axpyGatherF32Scalar,
 };

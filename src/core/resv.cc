@@ -1,6 +1,6 @@
 #include "core/resv.hh"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -12,7 +12,8 @@ namespace vrex
 ResvPolicy::ResvPolicy(const ModelConfig &model_config,
                        const ResvConfig &config)
     : model(model_config), cfg(config),
-      encoder(model_config.headDim(), config.nHp, config.seed)
+      encoder(model_config.headDim(), config.nHp, config.seed),
+      sigScratch(bitWords(config.nHp))
 {
     const uint32_t n = model.nLayers * model.nKvHeads;
     tables.reserve(n);
@@ -48,7 +49,8 @@ ResvPolicy::onBlockAppended(uint32_t layer, const KVCache &cache,
         for (uint32_t t = 0; t < block_len; ++t) {
             const uint32_t token = block_start + t;
             const float *key = keys.row(token) + off;
-            tab.insert(token, key, encoder.encode(key));
+            encoder.encode(key, sigScratch.data());
+            tab.insert(token, key, sigScratch.data());
         }
     }
 }
@@ -70,34 +72,28 @@ ResvPolicy::select(uint32_t layer, const Matrix &q, const KVCache &cache,
     const uint32_t block = q.rows();
     LayerSelection sel;
     sel.kvHeads.resize(model.nKvHeads);
-    // Scratch reused across heads: packed centroids, one query head's
-    // block x candidate scores, the pooled scores, candidate sizes.
-    std::vector<float> packed, dots, raw;
-    std::vector<uint32_t> counts;
+    std::vector<float> &raw = rawScratch;
+    std::vector<uint32_t> &counts = countScratch;
+    std::vector<uint64_t> &picks = pickScratch;
 
     for (uint32_t kv_head = 0; kv_head < model.nKvHeads; ++kv_head) {
-        const auto &clusters =
-            tables[layer * model.nKvHeads + kv_head].clusters();
+        const HCTable &tab = tables[layer * model.nKvHeads + kv_head];
         HeadSelection &hsel = sel.kvHeads[kv_head];
         hsel.selectAll = false;
 
-        // Candidates as rows: the head's cluster centroids (packed),
-        // or, for Fig. 19 "w/o clustering", every past key read in
-        // place as a cluster of one.
+        // Candidates as rows, read in place: the head's cluster
+        // centroids (contiguous in the HC table), or, for Fig. 19
+        // "w/o clustering", every past key at the cache stride as a
+        // cluster of one.
         const float *cand = nullptr;
         size_t cand_stride = head_dim;
         uint32_t n_cand = 0;
         if (cfg.clustering) {
-            n_cand = static_cast<uint32_t>(clusters.size());
-            packed.resize(static_cast<size_t>(n_cand) * head_dim);
+            n_cand = tab.clusterCount();
+            cand = tab.centroids();
             counts.resize(n_cand);
-            for (uint32_t c = 0; c < n_cand; ++c) {
-                std::copy(clusters[c].centroid.begin(),
-                          clusters[c].centroid.end(),
-                          packed.begin() + static_cast<size_t>(c) * head_dim);
-                counts[c] = clusters[c].tokenCount();
-            }
-            cand = packed.data();
+            for (uint32_t c = 0; c < n_cand; ++c)
+                counts[c] = tab.clusterSize(c);
         } else {
             n_cand = past_len;
             cand = keys.raw() + kv_head * head_dim;
@@ -109,41 +105,51 @@ ResvPolicy::select(uint32_t layer, const Matrix &q, const KVCache &cache,
 
         // Score: max over the head group's queries and the block's
         // query tokens (each query token needs its own entries; max
-        // pooling unions their demands). One GEMM per query head —
-        // rows are the block's queries, columns the candidates — so
-        // every score is one canonical dot, and each candidate is
-        // pooled over (g, t) in that order.
+        // pooling unions their demands). One fused score-max per query
+        // head — rows are the block's queries, columns the candidates
+        // — so every score is one canonical dot, scaled, and each
+        // candidate is pooled over (g, t) in that order with no score
+        // matrix in between.
         raw.assign(n_cand, -std::numeric_limits<float>::infinity());
-        dots.resize(static_cast<size_t>(block) * n_cand);
         for (uint32_t g = 0; g < group; ++g) {
             const uint32_t q_off = (kv_head * group + g) * head_dim;
-            gemmRows(q.raw() + q_off, q.cols(), block, cand, cand_stride,
-                     n_cand, head_dim, dots.data(), n_cand);
-            for (uint32_t t = 0; t < block; ++t) {
-                const float *row = dots.data() +
-                    static_cast<size_t>(t) * n_cand;
-                for (uint32_t c = 0; c < n_cand; ++c)
-                    raw[c] = std::max(raw[c], row[c] * scale);
-            }
+            gemmRowsMax(q.raw() + q_off, q.cols(), block, cand,
+                        cand_stride, n_cand, head_dim, scale, raw.data());
         }
         ctr.predictionMacs += static_cast<uint64_t>(n_cand) *
             head_dim * group * block;
         ctr.clustersScanned += n_cand;
 
-        WicsumResult picked = wicsumSelectEarlyExit(
-            expNormalize(raw), counts, cfg.thrWics, cfg.nBuckets);
+        expNormalize(raw, scoreScratch);
+        const WicsumResult picked = wicsumSelectEarlyExit(
+            scoreScratch, counts, cfg.thrWics, cfg.nBuckets);
         ctr.wicsumScanned += picked.scanned;
         ctr.clustersSelected += picked.selected.size();
 
-        if (cfg.clustering) {
-            for (uint32_t c : picked.selected)
-                for (uint32_t token : clusters[c].tokenIdx)
-                    if (token < past_len)
-                        hsel.indices.push_back(token);
-        } else {
-            hsel.indices = picked.selected;
+        // Mark the selected past tokens in a bitmap, then emit them in
+        // ascending order: the index list comes out sorted, no sort.
+        picks.assign(bitWords(past_len), 0ull);
+        auto mark = [&](uint32_t token) {
+            if (token < past_len)
+                picks[token >> 6] |= 1ull << (token & 63u);
+        };
+        for (uint32_t c : picked.selected) {
+            if (cfg.clustering) {
+                for (uint32_t token : tab.tokens(c))
+                    mark(token);
+            } else {
+                mark(c);
+            }
         }
-        std::sort(hsel.indices.begin(), hsel.indices.end());
+        size_t n_picked = 0;
+        for (uint64_t bits : picks)
+            n_picked += static_cast<size_t>(std::popcount(bits));
+        hsel.indices.reserve(n_picked);
+        for (size_t w = 0; w < picks.size(); ++w) {
+            for (uint64_t bits = picks[w]; bits != 0; bits &= bits - 1)
+                hsel.indices.push_back(static_cast<uint32_t>(
+                    w * 64 + static_cast<uint32_t>(std::countr_zero(bits))));
+        }
         ctr.tokensSelected += hsel.indices.size();
     }
     return sel;

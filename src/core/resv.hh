@@ -106,6 +106,13 @@ class ResvPolicy : public SelectionPolicy
     std::vector<HCTable> tables;
     ResvCounters frameCtr;
     ResvCounters textCtr;
+
+    // Scratch reused across calls (not state: never serialized).
+    std::vector<uint64_t> sigScratch;    //!< One token's signature.
+    std::vector<float> rawScratch;       //!< Pooled candidate scores.
+    std::vector<float> scoreScratch;     //!< expNormalize(raw).
+    std::vector<uint32_t> countScratch;  //!< Candidate token counts.
+    std::vector<uint64_t> pickScratch;   //!< Selected-token bitmap.
 };
 
 } // namespace vrex

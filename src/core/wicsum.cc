@@ -136,15 +136,22 @@ wicsumSelectEarlyExit(const std::vector<float> &scores,
 std::vector<float>
 expNormalize(const std::vector<float> &raw_scores)
 {
-    std::vector<float> out(raw_scores.size());
+    std::vector<float> out;
+    expNormalize(raw_scores, out);
+    return out;
+}
+
+void
+expNormalize(const std::vector<float> &raw_scores, std::vector<float> &out)
+{
+    out.resize(raw_scores.size());
     if (raw_scores.empty())
-        return out;
+        return;
     float mx = raw_scores[0];
     for (float s : raw_scores)
         mx = std::max(mx, s);
     for (size_t i = 0; i < raw_scores.size(); ++i)
         out[i] = std::exp(raw_scores[i] - mx);
-    return out;
 }
 
 } // namespace vrex

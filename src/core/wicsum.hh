@@ -65,6 +65,10 @@ WicsumResult wicsumSelectEarlyExit(const std::vector<float> &scores,
  */
 std::vector<float> expNormalize(const std::vector<float> &raw_scores);
 
+/** expNormalize() into @p out (resized to match), reusing its storage. */
+void expNormalize(const std::vector<float> &raw_scores,
+                  std::vector<float> &out);
+
 } // namespace vrex
 
 #endif // VREX_CORE_WICSUM_HH

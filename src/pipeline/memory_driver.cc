@@ -85,8 +85,8 @@ MemoryTrackingPolicy::select(uint32_t layer, const Matrix &q,
             const HCTable &tab = resvSource->table(layer, head);
             std::vector<std::vector<uint32_t>> members;
             members.reserve(tab.clusterCount());
-            for (const auto &c : tab.clusters())
-                members.push_back(c.tokenIdx);
+            for (uint32_t c = 0; c < tab.clusterCount(); ++c)
+                members.push_back(tab.tokens(c));
             layout.rebuild(members, cache.tokenCount());
         }
         replay.runsClustered += layout.runsForSelection(fetched);

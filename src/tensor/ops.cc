@@ -36,6 +36,18 @@ gemmRowsF32Scalar(const float *a, size_t lda, uint32_t rows,
 }
 
 void
+gemmRowsMaxF32Scalar(const float *a, size_t lda, uint32_t rows,
+                     const float *b, size_t ldb, uint32_t cols, uint32_t k,
+                     float scale, float *raw)
+{
+    for (uint32_t j = 0; j < cols; ++j)
+        for (uint32_t i = 0; i < rows; ++i)
+            raw[j] = std::max(raw[j],
+                              dotF32Scalar(a + i * lda, b + j * ldb, k) *
+                                  scale);
+}
+
+void
 dotGatherF32Scalar(const float *q, const float *base, size_t stride,
                    const uint32_t *idx, size_t count, uint32_t n,
                    float *out)
@@ -61,6 +73,7 @@ axpyGatherF32Scalar(const float *p, const float *base, size_t stride,
 
 std::atomic<DotF32Fn> dotF32Hook{&dotF32Scalar};
 std::atomic<GemmRowsF32Fn> gemmRowsF32Hook{&gemmRowsF32Scalar};
+std::atomic<GemmRowsMaxF32Fn> gemmRowsMaxF32Hook{&gemmRowsMaxF32Scalar};
 std::atomic<DotGatherF32Fn> dotGatherF32Hook{&dotGatherF32Scalar};
 std::atomic<AxpyGatherF32Fn> axpyGatherF32Hook{&axpyGatherF32Scalar};
 

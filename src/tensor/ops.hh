@@ -34,6 +34,16 @@ using GemmRowsF32Fn = void (*)(const float *a, size_t lda, uint32_t rows,
                                uint32_t k, float *out, size_t ldo);
 
 /**
+ * Row-group GEMM fused with a column max-pool: raw[j] =
+ * std::max(raw[j], dot(a + i * lda, b + j * ldb, k) * scale) for
+ * j < cols, over i < rows in order. Every score is one canonical dot.
+ */
+using GemmRowsMaxF32Fn = void (*)(const float *a, size_t lda,
+                                  uint32_t rows, const float *b,
+                                  size_t ldb, uint32_t cols, uint32_t k,
+                                  float scale, float *raw);
+
+/**
  * Gathered scoring kernel: out[i] = dot(q, base + idx[i] * stride, n)
  * for i < count, every score one canonical dot.
  */
@@ -59,6 +69,9 @@ float dotF32Scalar(const float *a, const float *b, uint32_t n);
 void gemmRowsF32Scalar(const float *a, size_t lda, uint32_t rows,
                        const float *b, size_t ldb, uint32_t cols,
                        uint32_t k, float *out, size_t ldo);
+void gemmRowsMaxF32Scalar(const float *a, size_t lda, uint32_t rows,
+                          const float *b, size_t ldb, uint32_t cols,
+                          uint32_t k, float scale, float *raw);
 void dotGatherF32Scalar(const float *q, const float *base, size_t stride,
                         const uint32_t *idx, size_t count, uint32_t n,
                         float *out);
@@ -76,6 +89,7 @@ void axpyGatherF32Scalar(const float *p, const float *base, size_t stride,
  */
 extern std::atomic<DotF32Fn> dotF32Hook;
 extern std::atomic<GemmRowsF32Fn> gemmRowsF32Hook;
+extern std::atomic<GemmRowsMaxF32Fn> gemmRowsMaxF32Hook;
 extern std::atomic<DotGatherF32Fn> dotGatherF32Hook;
 extern std::atomic<AxpyGatherF32Fn> axpyGatherF32Hook;
 
@@ -180,6 +194,22 @@ gemmRows(const float *a, size_t lda, uint32_t rows, const float *b,
 {
     detail::gemmRowsF32Hook.load(std::memory_order_relaxed)(
         a, lda, rows, b, ldb, cols, k, out, ldo);
+}
+
+/**
+ * Max-pooled row-group scores: raw[j] = std::max(raw[j], dot(a + i *
+ * lda, b + j * ldb, k) * scale) for j < cols, over i < rows in order —
+ * ReSV's candidate scoring, pooled over the block's queries without a
+ * score matrix. std::max keeps raw[j] on ties (±0) and on NaN.
+ * Dispatched through detail::gemmRowsMaxF32Hook; every variant
+ * matches detail::gemmRowsMaxF32Scalar bit for bit.
+ */
+inline void
+gemmRowsMax(const float *a, size_t lda, uint32_t rows, const float *b,
+            size_t ldb, uint32_t cols, uint32_t k, float scale, float *raw)
+{
+    detail::gemmRowsMaxF32Hook.load(std::memory_order_relaxed)(
+        a, lda, rows, b, ldb, cols, k, scale, raw);
 }
 
 /**

@@ -113,7 +113,7 @@ TEST(HCTable, FirstInsertCreatesCluster)
     EXPECT_EQ(tab.insert(0, key, sig), 0u);
     EXPECT_EQ(tab.clusterCount(), 1u);
     EXPECT_EQ(tab.tokenCount(), 1u);
-    EXPECT_EQ(tab.clusters()[0].tokenIdx[0], 0u);
+    EXPECT_EQ(tab.tokens(0)[0], 0u);
 }
 
 TEST(HCTable, CloseSignaturesJoin)
@@ -125,7 +125,7 @@ TEST(HCTable, CloseSignaturesJoin)
     tab.insert(0, key, a);
     EXPECT_EQ(tab.insert(1, key, b), 0u);
     EXPECT_EQ(tab.clusterCount(), 1u);
-    EXPECT_EQ(tab.clusters()[0].tokenCount(), 2u);
+    EXPECT_EQ(tab.clusterSize(0), 2u);
 }
 
 TEST(HCTable, FarSignaturesSplit)
@@ -148,8 +148,8 @@ TEST(HCTable, CentroidIsRunningMean)
     float k2[2] = {3.0f, 2.0f};
     tab.insert(0, k1, sig);
     tab.insert(1, k2, sig);
-    EXPECT_NEAR(tab.clusters()[0].centroid[0], 2.0f, 1e-6f);
-    EXPECT_NEAR(tab.clusters()[0].centroid[1], 1.0f, 1e-6f);
+    EXPECT_NEAR(tab.centroid(0)[0], 2.0f, 1e-6f);
+    EXPECT_NEAR(tab.centroid(0)[1], 1.0f, 1e-6f);
 }
 
 TEST(HCTable, MajoritySignatureUpdates)
@@ -163,7 +163,8 @@ TEST(HCTable, MajoritySignatureUpdates)
     tab.insert(1, key, one);
     tab.insert(2, key, one);
     // Majority of {0000, 1111, 1111} = 1111.
-    EXPECT_EQ(tab.clusters()[0].signature, one);
+    ASSERT_EQ(tab.sigWords(), 1u);
+    EXPECT_EQ(tab.signature(0)[0], one.raw()[0]);
 }
 
 TEST(HCTable, TieBreakPrefersLowestCluster)

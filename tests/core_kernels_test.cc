@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -425,6 +426,147 @@ TEST_F(CoreKernelsTest, HCTableCrossIsaEquivalence)
 }
 
 // ---------------------------------------------------------------------
+// HCU scan: every ISA == the naive first-minimum loop.
+// ---------------------------------------------------------------------
+
+/** Bit-by-bit distance of every table row to @p sig. */
+std::vector<uint32_t>
+naiveDistances(const std::vector<uint64_t> &table, size_t nwords,
+               const std::vector<uint64_t> &sig, uint32_t nbits)
+{
+    std::vector<uint32_t> dist;
+    for (size_t at = 0; at < table.size(); at += nwords)
+        dist.push_back(naiveHamming(
+            std::vector<uint64_t>(table.begin() + at,
+                                  table.begin() + at + nwords),
+            sig, nbits));
+    return dist;
+}
+
+/** The first index at minimal distance <= limit, or dist.size(). */
+uint32_t
+firstNearest(const std::vector<uint32_t> &dist, uint32_t limit)
+{
+    const auto n = static_cast<uint32_t>(dist.size());
+    uint32_t best = n;
+    for (uint32_t c = 0; c < n; ++c)
+        if (dist[c] <= limit && (best == n || dist[c] < dist[best]))
+            best = c;
+    return best;
+}
+
+TEST_F(CoreKernelsTest, HammingNearestEquivalence)
+{
+    const auto ops = runnableOps();
+    // Widths with and without padding bits, one to three words.
+    for (const uint32_t nbits : {32u, 64u, 100u, 128u, 150u}) {
+        const size_t nwords = bitWords(nbits);
+        const uint64_t pad =
+            (nbits & 63u) ? (1ull << (nbits & 63u)) - 1 : ~0ull;
+        auto randomSig = [&] {
+            std::vector<uint64_t> v(nwords);
+            for (auto &w : v)
+                w = rng.nextU64();
+            v.back() &= pad;
+            return v;
+        };
+        for (uint32_t count = 0; count <= 300; ++count) {
+            const std::vector<uint64_t> sig = randomSig();
+            // Rows near the query (a few flipped bits, so minimal
+            // distances repeat and ties are common) and unrelated
+            // ones.
+            std::vector<uint64_t> table;
+            for (uint32_t c = 0; c < count; ++c) {
+                std::vector<uint64_t> row = sig;
+                if (rng.uniformInt(4) == 0) {
+                    row = randomSig();
+                } else {
+                    const uint64_t flips = 1 + rng.uniformInt(6);
+                    for (uint64_t f = 0; f < flips; ++f) {
+                        const uint64_t b = rng.uniformInt(nbits);
+                        row[b >> 6] ^= 1ull << (b & 63u);
+                    }
+                }
+                table.insert(table.end(), row.begin(), row.end());
+            }
+            const auto dist = naiveDistances(table, nwords, sig, nbits);
+            for (const uint32_t limit : {0u, 2u, 7u, nbits}) {
+                const uint32_t want = firstNearest(dist, limit);
+                for (const auto &[isa, t] : ops)
+                    ASSERT_EQ(t->hammingNearest(table.data(), count,
+                                                nwords, sig.data(), limit),
+                              want)
+                        << "isa=" << kernels::isaName(isa)
+                        << " nbits=" << nbits << " count=" << count
+                        << " limit=" << limit;
+            }
+
+            if (count == 0)
+                continue;
+            // Exact ties: two copies of the query at random rows, the
+            // rest one bit away. The lower copy must win, at every
+            // limit; at limit 0 with the copies removed, nothing is
+            // within the limit.
+            std::vector<uint64_t> ties;
+            for (uint32_t c = 0; c < count; ++c) {
+                std::vector<uint64_t> row = sig;
+                row[0] ^= 1ull << (c % (nbits < 64 ? nbits : 64));
+                ties.insert(ties.end(), row.begin(), row.end());
+            }
+            ASSERT_EQ(firstNearest(naiveDistances(ties, nwords, sig, nbits),
+                                   0),
+                      count);
+            const uint32_t i0 = static_cast<uint32_t>(rng.uniformInt(count));
+            const uint32_t i1 = static_cast<uint32_t>(rng.uniformInt(count));
+            for (const uint32_t i : {i0, i1})
+                std::copy(sig.begin(), sig.end(),
+                          ties.begin() + i * nwords);
+            for (const auto &[isa, t] : ops) {
+                for (const uint32_t limit : {0u, 1u, nbits})
+                    ASSERT_EQ(t->hammingNearest(ties.data(), count, nwords,
+                                                sig.data(), limit),
+                              std::min(i0, i1))
+                        << "isa=" << kernels::isaName(isa)
+                        << " nbits=" << nbits << " count=" << count;
+            }
+            // A zero query against rows with every bit set: the
+            // ragged last block's missing rows (zeros to a masked
+            // load) must not win, so no row is within nbits - 1.
+            std::vector<uint64_t> far(count * nwords, ~0ull);
+            for (uint32_t c = 0; c < count; ++c)
+                far[c * nwords + nwords - 1] &= pad;
+            const std::vector<uint64_t> zero(nwords, 0ull);
+            for (const auto &[isa, t] : ops) {
+                EXPECT_EQ(t->hammingNearest(far.data(), count, nwords,
+                                            zero.data(), nbits - 1),
+                          count)
+                    << "isa=" << kernels::isaName(isa);
+                EXPECT_EQ(t->hammingNearest(far.data(), count, nwords,
+                                            zero.data(), nbits),
+                          0u)
+                    << "isa=" << kernels::isaName(isa);
+            }
+            // Every row one bit away: a tie across the whole table
+            // resolves to row 0 once the limit admits it.
+            for (uint32_t c = 0; c < count; ++c) {
+                std::copy(sig.begin(), sig.end(), ties.begin() + c * nwords);
+                ties[c * nwords] ^= 1ull;
+            }
+            for (const auto &[isa, t] : ops) {
+                EXPECT_EQ(t->hammingNearest(ties.data(), count, nwords,
+                                            sig.data(), 0),
+                          count)
+                    << "isa=" << kernels::isaName(isa);
+                EXPECT_EQ(t->hammingNearest(ties.data(), count, nwords,
+                                            sig.data(), 1),
+                          0u)
+                    << "isa=" << kernels::isaName(isa);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Dense kernels (dot, GEMM, gather): every ISA == the tensor scalar
 // reference of the canonical 8-lane order, bit for bit.
 // ---------------------------------------------------------------------
@@ -560,6 +702,70 @@ TEST_F(CoreKernelsTest, DenseGemmRowsEquivalence)
     }
 }
 
+TEST_F(CoreKernelsTest, DenseGemmRowsMaxEquivalence)
+{
+    const auto ops = runnableOps();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // Starting maxima: the -inf ReSV starts from, finite values, ±0
+    // (ties against ±0 scores keep raw) and NaN (which sticks).
+    const float starts[] = {-inf, -inf, 1.5f, -2.0f, 0.0f, -0.0f, nan,
+                            1e30f, -3e-39f};
+    const float sentinel = -4242.0f;
+    for (Fill fill : kFills) {
+        for (uint32_t k : kDenseWidths) {
+            for (uint32_t rows : {0u, 1u, 3u, 16u, 25u}) {
+                for (uint32_t cols : {0u, 1u, 3u, 4u, 5u, 9u, 37u}) {
+                    // Padded strides, as a query head inside a wider
+                    // row and keys at the cache stride.
+                    const size_t lda = k + 3, ldb = k + 5;
+                    const auto a = denseValues(rng, rows * lda, fill);
+                    const auto b = denseValues(rng, cols * ldb, fill);
+                    std::vector<float> start(cols + 1, sentinel);
+                    for (uint32_t j = 0; j < cols; ++j)
+                        start[j] = starts[rng.uniformInt(std::size(starts))];
+                    for (const float scale : {0.25f, 0.3779645f, -1.5f}) {
+                        std::vector<float> want = start;
+                        detail::gemmRowsMaxF32Scalar(a.data(), lda, rows,
+                                                     b.data(), ldb, cols, k,
+                                                     scale, want.data());
+                        // The reference is std::max over the rows in
+                        // order of each scaled canonical dot.
+                        for (uint32_t j = 0; j < cols; ++j) {
+                            float m = start[j];
+                            for (uint32_t i = 0; i < rows; ++i)
+                                m = std::max(
+                                    m, detail::dotF32Scalar(a.data() + i * lda,
+                                                            b.data() + j * ldb,
+                                                            k) *
+                                           scale);
+                            ASSERT_TRUE(sameFloat(want[j], m)) << "j=" << j;
+                        }
+                        ASSERT_EQ(want[cols], sentinel);
+                        for (const auto &[isa, table] : ops) {
+                            std::vector<float> got = start;
+                            table->gemmRowsMaxF32(a.data(), lda, rows,
+                                                  b.data(), ldb, cols, k,
+                                                  scale, got.data());
+                            for (uint32_t j = 0; j < cols; ++j)
+                                ASSERT_TRUE(sameFloat(got[j], want[j]))
+                                    << "isa=" << kernels::isaName(isa)
+                                    << " k=" << k << " rows=" << rows
+                                    << " cols=" << cols << " scale="
+                                    << scale << " fill="
+                                    << static_cast<int>(fill)
+                                    << " j=" << j;
+                            ASSERT_EQ(got[cols], sentinel)
+                                << "isa=" << kernels::isaName(isa)
+                                << " wrote past cols";
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST_F(CoreKernelsTest, DenseDotGatherEquivalence)
 {
     const auto ops = runnableOps();
@@ -675,6 +881,8 @@ TEST_F(CoreKernelsTest, DenseHooksFollowTheSelection)
         EXPECT_EQ(detail::dotF32Hook.load(), kernels::active().dotF32);
         EXPECT_EQ(detail::gemmRowsF32Hook.load(),
                   kernels::active().gemmRowsF32);
+        EXPECT_EQ(detail::gemmRowsMaxF32Hook.load(),
+                  kernels::active().gemmRowsMaxF32);
         EXPECT_EQ(detail::dotGatherF32Hook.load(),
                   kernels::active().dotGatherF32);
         EXPECT_EQ(detail::axpyGatherF32Hook.load(),
@@ -863,6 +1071,309 @@ TEST(CoreKernelsSessionTest, ScalarAndAvx2SessionsAreByteIdentical)
     ASSERT_EQ(scalar.first.size(), 16u);
     EXPECT_EQ(avx2.first, scalar.first);
     EXPECT_EQ(avx2.second, scalar.second);
+}
+
+// ---------------------------------------------------------------------
+// ReSV retrieval on the contiguous HC table, the fused score-max and
+// the bitmap selection == the per-cluster table, packed GEMM, scalar
+// max-pool and sort it replaced, under every ISA.
+// ---------------------------------------------------------------------
+
+/** One per-cluster HC table, with the pointer-scan insert. */
+struct LegacyTable
+{
+    struct Row
+    {
+        BitSig signature;
+        std::vector<float> centroid;
+        std::vector<uint32_t> tokenIdx;
+        std::vector<uint32_t> bitOnes;
+    };
+
+    uint32_t keyDim, nBits, thHd;
+    uint64_t comparisons = 0;
+    std::vector<Row> rows;
+
+    uint32_t
+    insert(uint32_t token_idx, const float *key, const BitSig &sig)
+    {
+        const auto hamming = kernels::active().hammingWords;
+        uint32_t best = std::numeric_limits<uint32_t>::max();
+        uint32_t best_dist = thHd + 1;
+        for (uint32_t c = 0; c < rows.size(); ++c) {
+            const uint32_t d = hamming(rows[c].signature.raw().data(),
+                                       sig.raw().data(), sig.raw().size());
+            ++comparisons;
+            if (d < best_dist) {
+                best_dist = d;
+                best = c;
+            }
+        }
+        if (best == std::numeric_limits<uint32_t>::max()) {
+            Row row{sig, std::vector<float>(key, key + keyDim), {token_idx},
+                    std::vector<uint32_t>(nBits, 0)};
+            for (uint32_t b = 0; b < nBits; ++b)
+                row.bitOnes[b] = sig.get(b) ? 1 : 0;
+            rows.push_back(std::move(row));
+            return static_cast<uint32_t>(rows.size()) - 1;
+        }
+        Row &row = rows[best];
+        const double n = static_cast<double>(row.tokenIdx.size());
+        for (uint32_t d = 0; d < keyDim; ++d)
+            row.centroid[d] = static_cast<float>(
+                (row.centroid[d] * n + key[d]) / (n + 1.0));
+        for (uint32_t b = 0; b < nBits; ++b)
+            row.bitOnes[b] += sig.get(b) ? 1 : 0;
+        row.tokenIdx.push_back(token_idx);
+        const auto size = static_cast<uint32_t>(row.tokenIdx.size());
+        for (uint32_t b = 0; b < nBits; ++b)
+            row.signature.set(b, 2 * row.bitOnes[b] > size);
+        return best;
+    }
+};
+
+/**
+ * ReSV with the per-cluster table: centroids packed per call, one
+ * gemmRows() score matrix per query head, a scalar max-pool over it,
+ * WiCSum, then std::sort of the selected tokens.
+ */
+class LegacyResv
+{
+  public:
+    LegacyResv(const ModelConfig &model_cfg, const ResvConfig &config)
+        : model(model_cfg), cfg(config),
+          encoder(model_cfg.headDim(), config.nHp, config.seed)
+    {
+        for (uint32_t i = 0; i < model.nLayers * model.nKvHeads; ++i)
+            tables.push_back({model.headDim(), cfg.nHp, cfg.thHd, 0, {}});
+    }
+
+    void
+    onBlockAppended(uint32_t layer, const KVCache &cache,
+                    uint32_t block_start, uint32_t block_len)
+    {
+        if (!cfg.clustering)
+            return;
+        const Matrix &keys = cache.layer(layer).keys;
+        for (uint32_t h = 0; h < model.nKvHeads; ++h) {
+            for (uint32_t t = 0; t < block_len; ++t) {
+                const float *key =
+                    keys.row(block_start + t) + h * model.headDim();
+                tables[layer * model.nKvHeads + h].insert(
+                    block_start + t, key, encoder.encode(key));
+            }
+        }
+    }
+
+    LayerSelection
+    select(uint32_t layer, const Matrix &q, const KVCache &cache,
+           uint32_t past_len, TokenStage stage)
+    {
+        ResvCounters &ctr =
+            stage == TokenStage::VideoFrame ? frame : text;
+        ++ctr.selectCalls;
+        if (past_len == 0)
+            return LayerSelection::full(model.nKvHeads);
+        ctr.pastTokens += static_cast<uint64_t>(past_len) * model.nKvHeads;
+        const uint32_t head_dim = model.headDim();
+        const uint32_t group = model.groupSize();
+        const float scale = 1.0f / std::sqrt((float)head_dim);
+        const Matrix &keys = cache.layer(layer).keys;
+        const uint32_t block = q.rows();
+        LayerSelection sel;
+        sel.kvHeads.resize(model.nKvHeads);
+        std::vector<float> packed, dots, raw;
+        std::vector<uint32_t> counts;
+        for (uint32_t h = 0; h < model.nKvHeads; ++h) {
+            const auto &rows = tables[layer * model.nKvHeads + h].rows;
+            HeadSelection &hsel = sel.kvHeads[h];
+            hsel.selectAll = false;
+            const float *cand = nullptr;
+            size_t cand_stride = head_dim;
+            uint32_t n_cand = 0;
+            if (cfg.clustering) {
+                n_cand = static_cast<uint32_t>(rows.size());
+                packed.resize(static_cast<size_t>(n_cand) * head_dim);
+                counts.resize(n_cand);
+                for (uint32_t c = 0; c < n_cand; ++c) {
+                    std::copy(rows[c].centroid.begin(),
+                              rows[c].centroid.end(),
+                              packed.begin() +
+                                  static_cast<size_t>(c) * head_dim);
+                    counts[c] =
+                        static_cast<uint32_t>(rows[c].tokenIdx.size());
+                }
+                cand = packed.data();
+            } else {
+                n_cand = past_len;
+                cand = keys.raw() + h * head_dim;
+                cand_stride = keys.cols();
+                counts.assign(past_len, 1);
+            }
+            if (n_cand == 0)
+                continue;
+            raw.assign(n_cand, -std::numeric_limits<float>::infinity());
+            dots.resize(static_cast<size_t>(block) * n_cand);
+            for (uint32_t g = 0; g < group; ++g) {
+                const uint32_t q_off = (h * group + g) * head_dim;
+                gemmRows(q.raw() + q_off, q.cols(), block, cand,
+                         cand_stride, n_cand, head_dim, dots.data(), n_cand);
+                for (uint32_t t = 0; t < block; ++t)
+                    for (uint32_t c = 0; c < n_cand; ++c)
+                        raw[c] = std::max(
+                            raw[c],
+                            dots[static_cast<size_t>(t) * n_cand + c] *
+                                scale);
+            }
+            ctr.predictionMacs += static_cast<uint64_t>(n_cand) *
+                head_dim * group * block;
+            ctr.clustersScanned += n_cand;
+            const WicsumResult picked = wicsumSelectEarlyExit(
+                expNormalize(raw), counts, cfg.thrWics, cfg.nBuckets);
+            ctr.wicsumScanned += picked.scanned;
+            ctr.clustersSelected += picked.selected.size();
+            if (cfg.clustering) {
+                for (uint32_t c : picked.selected)
+                    for (uint32_t token : rows[c].tokenIdx)
+                        if (token < past_len)
+                            hsel.indices.push_back(token);
+            } else {
+                hsel.indices = picked.selected;
+            }
+            std::sort(hsel.indices.begin(), hsel.indices.end());
+            ctr.tokensSelected += hsel.indices.size();
+        }
+        return sel;
+    }
+
+    ModelConfig model;
+    ResvConfig cfg;
+    HashEncoder encoder;
+    std::vector<LegacyTable> tables;
+    ResvCounters frame, text;
+};
+
+/**
+ * Runs ResvPolicy and LegacyResv side by side on one session: after
+ * every appended block each table must hold the same clusters (so
+ * every token joined the same cluster), and every selection must be
+ * equal. The session attends ResvPolicy's selection.
+ */
+class ResvAgainstLegacy final : public SelectionPolicy
+{
+  public:
+    ResvAgainstLegacy(const ModelConfig &model_cfg, const ResvConfig &config)
+        : model(model_cfg), fresh(model_cfg, config), legacy(model_cfg, config)
+    {
+    }
+
+    void
+    onBlockAppended(uint32_t layer, const KVCache &cache,
+                    uint32_t block_start, uint32_t block_len,
+                    TokenStage stage) override
+    {
+        fresh.onBlockAppended(layer, cache, block_start, block_len, stage);
+        legacy.onBlockAppended(layer, cache, block_start, block_len);
+        for (uint32_t h = 0; h < model.nKvHeads; ++h) {
+            const HCTable &tab = fresh.table(layer, h);
+            const LegacyTable &ref =
+                legacy.tables[layer * model.nKvHeads + h];
+            ASSERT_EQ(tab.clusterCount(), ref.rows.size());
+            EXPECT_EQ(tab.hammingComparisons(), ref.comparisons);
+            for (uint32_t c = 0; c < tab.clusterCount(); ++c) {
+                const auto &row = ref.rows[c];
+                ASSERT_EQ(tab.tokens(c), row.tokenIdx)
+                    << "layer " << layer << " head " << h << " cluster "
+                    << c;
+                EXPECT_EQ(std::memcmp(tab.centroid(c), row.centroid.data(),
+                                      row.centroid.size() * sizeof(float)),
+                          0);
+                EXPECT_TRUE(std::equal(row.signature.raw().begin(),
+                                       row.signature.raw().end(),
+                                       tab.signature(c)));
+            }
+        }
+    }
+
+    LayerSelection
+    select(uint32_t layer, const Matrix &q, const KVCache &cache,
+           uint32_t past_len, TokenStage stage) override
+    {
+        LayerSelection got = fresh.select(layer, q, cache, past_len, stage);
+        const LayerSelection want =
+            legacy.select(layer, q, cache, past_len, stage);
+        EXPECT_EQ(got.kvHeads.size(), want.kvHeads.size());
+        for (size_t h = 0; h < want.kvHeads.size(); ++h) {
+            EXPECT_EQ(got.kvHeads[h].selectAll, want.kvHeads[h].selectAll);
+            EXPECT_EQ(got.kvHeads[h].indices, want.kvHeads[h].indices)
+                << "layer " << layer << " head " << h;
+            partial += !want.kvHeads[h].selectAll &&
+                want.kvHeads[h].indices.size() < past_len;
+        }
+        ++selects;
+        return got;
+    }
+
+    void
+    reset() override
+    {
+        fresh.reset();
+        legacy = LegacyResv(legacy.model, legacy.cfg);
+    }
+
+    ModelConfig model;
+    ResvPolicy fresh;
+    LegacyResv legacy;
+    uint32_t selects = 0;
+    uint32_t partial = 0;  //!< Head selections that pruned something.
+};
+
+void
+expectSameCounters(const ResvCounters &got, const ResvCounters &want)
+{
+    EXPECT_EQ(got.predictionMacs, want.predictionMacs);
+    EXPECT_EQ(got.clustersScanned, want.clustersScanned);
+    EXPECT_EQ(got.clustersSelected, want.clustersSelected);
+    EXPECT_EQ(got.tokensSelected, want.tokensSelected);
+    EXPECT_EQ(got.pastTokens, want.pastTokens);
+    EXPECT_EQ(got.wicsumScanned, want.wicsumScanned);
+    EXPECT_EQ(got.selectCalls, want.selectCalls);
+}
+
+TEST(ResvPolicy, SelectMatchesPackedGemmSortReference)
+{
+    const ModelConfig model = ModelConfig::tiny();
+    for (const bool clustering : {true, false}) {
+        for (kernels::Isa isa : runnableIsas()) {
+            ForcedIsa guard(isa);
+            ASSERT_TRUE(guard.ok());
+            ResvConfig rc;
+            rc.clustering = clustering;
+            ResvAgainstLegacy policy(model, rc);
+            StreamingSession s(model, &policy, 17);
+            s.begin("legacy-resv", VideoConfig{}, 3);
+            for (int f = 0; f < 8; ++f)
+                s.feedFrame();
+            s.feedQuestion(9);
+            s.generate(6);
+            for (int f = 0; f < 3; ++f)
+                s.feedFrame();
+            s.feedQuestion(5);
+            s.generate(4);
+
+            SCOPED_TRACE(std::string("isa=") + kernels::isaName(isa) +
+                         " clustering=" + (clustering ? "1" : "0"));
+            EXPECT_GT(policy.selects, 0u);
+            EXPECT_GT(policy.partial, 0u) << "nothing was pruned";
+            expectSameCounters(policy.fresh.frameCounters(),
+                               policy.legacy.frame);
+            expectSameCounters(policy.fresh.textCounters(),
+                               policy.legacy.text);
+            if (clustering) {
+                EXPECT_GT(policy.fresh.totalHammingComparisons(), 0u);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

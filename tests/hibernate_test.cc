@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/serial.hh"
+#include "core/hc_table.hh"
 #include "kvstore/cold_store.hh"
 #include "serve/engine.hh"
 #include "serve/kv_budget.hh"
@@ -125,6 +126,59 @@ kvBlob(const ModelConfig &cfg, uint32_t rows, uint32_t cols,
     w.put<uint32_t>(tokens); // pendingTokens
     w.put<uint32_t>(1);      // numFrames
     return w.finish();
+}
+
+/** One crafted HC-table row: signature word, members, bit counts. */
+struct HcRow
+{
+    uint64_t sig;
+    std::vector<uint32_t> tokens;
+    std::vector<uint32_t> ones;
+};
+
+/** Geometry of the crafted HC tables: key dim, signature bits, Th_hd. */
+constexpr uint32_t kHcDim = 2, kHcBits = 8, kHcTh = 2;
+
+/**
+ * An HCTable payload under a valid footer: @p rows, declaring
+ * @p tokens tokens in all.
+ */
+std::vector<uint8_t>
+hcTableBlob(uint32_t tokens, const std::vector<HcRow> &rows)
+{
+    serial::ByteWriter w(1);
+    w.put<uint32_t>(kHcDim);
+    w.put<uint32_t>(kHcBits);
+    w.put<uint32_t>(kHcTh);
+    w.put<uint32_t>(tokens);
+    w.put<uint64_t>(5); // Hamming comparisons.
+    w.put<uint64_t>(rows.size());
+    for (const HcRow &row : rows) {
+        w.putVec(std::vector<uint64_t>{row.sig});
+        w.putVec(std::vector<float>{0.5f, -0.25f});
+        w.putVec(row.tokens);
+        w.putVec(row.ones);
+    }
+    return w.finish();
+}
+
+/** Tokens {0, 2} and {1}: a table insert() could have built. */
+std::vector<HcRow>
+validHcRows()
+{
+    return {{0x05, {0, 2}, {2, 0, 2, 0, 0, 0, 0, 0}},
+            {0x02, {1}, {0, 1, 0, 0, 0, 0, 0, 0}}};
+}
+
+/** Restores @p blob into a fresh table; returns its cluster count. */
+uint32_t
+restoreHcTable(const std::vector<uint8_t> &blob)
+{
+    HCTable tab(kHcDim, kHcBits, kHcTh);
+    serial::ByteReader r(blob, 1);
+    tab.restore(r);
+    r.expectEnd();
+    return tab.clusterCount();
 }
 
 } // namespace
@@ -553,6 +607,69 @@ TEST(RestoreShapes, KvCacheRefusesShapesAttentionWouldOverrun)
         static_cast<uint8_t>(TokenStage::GeneratedText) + 1;
     EXPECT_THROW(restore(kvBlob(cfg, 4, kv_dim, 4, past_last)),
                  serial::SerialError);
+}
+
+TEST(HcTableBlob, RoundTripsAValidTable)
+{
+    const std::vector<uint8_t> blob = hcTableBlob(3, validHcRows());
+    HCTable tab(kHcDim, kHcBits, kHcTh);
+    serial::ByteReader r(blob, 1);
+    tab.restore(r);
+    r.expectEnd();
+    ASSERT_EQ(tab.clusterCount(), 2u);
+    EXPECT_EQ(tab.tokenCount(), 3u);
+    EXPECT_EQ(tab.tokens(0), (std::vector<uint32_t>{0, 2}));
+    EXPECT_EQ(tab.signature(1)[0], 0x02u);
+    EXPECT_EQ(tab.centroid(1)[1], -0.25f);
+    EXPECT_EQ(tab.hammingComparisons(), 5u);
+    serial::ByteWriter w(1);
+    tab.serialize(w);
+    EXPECT_EQ(w.finish(), blob);
+}
+
+TEST(RestoreShapes, HcTableRefusesSignaturePaddingBits)
+{
+    // Bits at or above nBits would inflate every Hamming distance to
+    // the cluster.
+    for (const uint64_t pad : {uint64_t(1) << kHcBits, uint64_t(1) << 63}) {
+        auto rows = validHcRows();
+        rows[1].sig |= pad;
+        EXPECT_THROW(restoreHcTable(hcTableBlob(3, rows)),
+                     serial::SerialError)
+            << std::hex << pad;
+    }
+}
+
+TEST(RestoreShapes, HcTableRefusesRepeatedOrUnorderedTokens)
+{
+    // A token listed twice would be attended twice.
+    auto twice = validHcRows();
+    twice[1].tokens = {2};
+    EXPECT_THROW(restoreHcTable(hcTableBlob(3, twice)), serial::SerialError);
+    auto repeated = validHcRows();
+    repeated[0].tokens = {0, 0};
+    EXPECT_THROW(restoreHcTable(hcTableBlob(3, repeated)),
+                 serial::SerialError);
+    auto unordered = validHcRows();
+    unordered[0].tokens = {2, 0};
+    EXPECT_THROW(restoreHcTable(hcTableBlob(3, unordered)),
+                 serial::SerialError);
+}
+
+TEST(RestoreShapes, HcTableRefusesSizesOffTheTokenCount)
+{
+    EXPECT_EQ(restoreHcTable(hcTableBlob(3, validHcRows())), 2u);
+    EXPECT_THROW(restoreHcTable(hcTableBlob(2, validHcRows())),
+                 serial::SerialError);
+    EXPECT_THROW(restoreHcTable(hcTableBlob(4, validHcRows())),
+                 serial::SerialError);
+}
+
+TEST(RestoreShapes, HcTableRefusesBitCountsAboveClusterSize)
+{
+    auto rows = validHcRows();
+    rows[1].ones[7] = 2; // Cluster 1 has one member.
+    EXPECT_THROW(restoreHcTable(hcTableBlob(3, rows)), serial::SerialError);
 }
 
 // ---------------------------------------------------------------
